@@ -36,6 +36,7 @@ from .errors import (
     ConfigError,
     DegenerateRatio,
     DopplerLabError,
+    IdentityMismatch,
     InvalidNormalization,
     NoConvergence,
     NotYetReached,
@@ -69,7 +70,6 @@ from .signal import (
     sample_receiver,
     spectrum,
 )
-from ._kernels import backend_name
 
 __version__ = "0.1.0"
 
@@ -84,6 +84,7 @@ __all__ = [
     "DimensionlessGroup",
     "DopplerLabError",
     "FieldSample",
+    "IdentityMismatch",
     "InvalidNormalization",
     "MediumParams",
     "ModulationFactors",
@@ -99,7 +100,6 @@ __all__ = [
     "SupersonicMotion",
     "TransportSolution",
     "am_factor",
-    "backend_name",
     "boundary_position",
     "boundary_velocity",
     "classical_doppler",

@@ -78,3 +78,10 @@ class AliasingSuspected(DopplerLabError):
 
     code = "ALIASING"
     exit_code = 3
+
+
+class IdentityMismatch(DopplerLabError):
+    """Two computations that must agree differ by more than their tolerance."""
+
+    code = "IDENTITY_MISMATCH"
+    exit_code = 3

@@ -97,9 +97,10 @@ class MotionProfile:
         a0 = prof.eval(0.0)[0]
         if abs(a0) > 1e-12:
             raise InvalidNormalization(f"alpha(0) must be 0, got {a0!r}")
-        grid = np.linspace(0.0, horizon, NORMALIZATION_SAMPLES)
-        slopes = [prof.eval(u)[1] for u in grid]
-        sup = max(abs(s) for s in slopes)
+        slopes = prof.eval(np.linspace(0.0, horizon, NORMALIZATION_SAMPLES))[1]
+        if not np.all(np.isfinite(slopes)):
+            raise InvalidNormalization(f"alpha' is not finite everywhere on [0, {horizon}]")
+        sup = float(np.max(np.abs(slopes)))
         if abs(sup - 1.0) > NORMALIZATION_TOL:
             raise InvalidNormalization(
                 f"max|alpha'| over [0, {horizon}] is {sup:.8g}, expected 1 "
@@ -107,11 +108,7 @@ class MotionProfile:
             )
         return cls(kind="custom", alpha=alpha, alpha_prime=alpha_prime,
                    alpha_pprime=alpha_pprime, horizon=float(horizon),
-                   slope_range=(min(slopes), max(slopes)))
-
-    @property
-    def is_builtin(self) -> bool:
-        return self.kind != "custom"
+                   slope_range=(float(np.min(slopes)), float(np.max(slopes))))
 
     def eval(self, arg):
         """Return ``(alpha, alpha', alpha'')`` at ``arg >= 0``.
@@ -132,19 +129,15 @@ class MotionProfile:
             e = np.exp(-arr)
             return _match(arg, 1.0 - e), _match(arg, e), _match(arg, -e)
         if self.kind == "oscillatory":
-            return (_match(arg, np.sin(arr)), _match(arg, np.cos(arr)),
-                    _match(arg, -np.sin(arr)))
+            sin = np.sin(arr)
+            return _match(arg, sin), _match(arg, np.cos(arr)), _match(arg, -sin)
         # custom
         if arr.ndim == 0:
             return self._eval_custom_scalar(float(arr))
-        out = np.empty((3,) + arr.shape)
-        flat = arr.ravel()
-        for i, u in enumerate(flat):
-            a, ap, app = self._eval_custom_scalar(float(u))
-            out[0].ravel()[i] = a
-            out[1].ravel()[i] = ap
-            out[2].ravel()[i] = app
-        return out[0], out[1], out[2]
+        out = np.empty((3, arr.size))
+        for i, u in enumerate(arr.ravel()):
+            out[:, i] = self._eval_custom_scalar(float(u))
+        return tuple(out.reshape((3,) + arr.shape))
 
     def _eval_custom_scalar(self, u: float):
         try:

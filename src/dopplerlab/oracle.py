@@ -2,10 +2,18 @@
 
 For subsonic boundary motion the outgoing half-line solution is
 ``U(x, t) = exp(i * omega * t_e)`` where the emission time ``t_e`` solves
-``t_e - X_s(t_e)/c = t - x/c``.  The map on the left is strictly
-increasing (its derivative is ``1 - Xdot_s/c > 0``), so the root is unique
-and bracketed by ``[0, t]``.  This module is the independent check against
+``g(t_e) = t_e - X_s(t_e)/c - (t - x/c) = 0``.  ``g`` is strictly
+increasing (``g' = 1 - Xdot_s/c > 0``), so the root is unique and
+bracketed by ``[0, t]``.  This module is the independent check against
 which the multiple-scales approximation is measured.
+
+One vectorised solver, :func:`_solve_retarded`, serves every profile,
+built-in or custom.  It starts from the uniform-motion guess
+``(t - x/c)/(1 - beta)`` and takes Newton steps, each from one
+:meth:`MotionProfile.eval` call giving ``g`` and ``g'`` together.  The
+``[0, t]`` bracket shrinks around the root as it goes, and a step that
+would leave it falls back to the bracket midpoint (``rtsafe`` in
+*Numerical Recipes*).  Only points not yet within tolerance keep iterating.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from typing import Tuple
 
 import numpy as np
 
-from . import _kernels
 from .asymptotics import BOUNDARY_CLAMP, am_dimensionless, lab_phase, lab_phase_rate
 from .errors import (
     ArgumentOutOfRange,
@@ -29,7 +36,7 @@ from .motion import BoundaryMotion, MediumParams, boundary_position, validate
 #: oracle phase accurate to 1e-12 radians.
 DEFAULT_TOL_SCALE = 1e-12
 
-#: Iteration budget for the bisection + Newton solve.
+#: Newton-step budget per point of the retarded-time solve.
 MAX_ITERATIONS = 200
 
 
@@ -51,10 +58,6 @@ class ComparisonReport:
     max_freq_rel_error: float
 
 
-def _default_tol(medium: MediumParams) -> float:
-    return DEFAULT_TOL_SCALE / medium.omega
-
-
 def _check_point(motion: BoundaryMotion, medium: MediumParams, x: float, t: float):
     if t < 0.0:
         raise ArgumentOutOfRange(f"time must be >= 0, got {t}")
@@ -70,67 +73,96 @@ def _check_point(motion: BoundaryMotion, medium: MediumParams, x: float, t: floa
         )
 
 
+def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
+                    ts: np.ndarray, tol: float):
+    """Safeguarded Newton solve of the retarded-time equation on a grid.
+
+    ``ts`` is a 1-D grid with ``t - x/c >= 0`` (caller-checked).  Returns
+    ``(t_e, residual, iterations)`` arrays; callers decide whether
+    ``residual > tol`` is fatal.
+    """
+    c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
+    t = np.asarray(ts, dtype=float)
+    te = np.empty_like(t)
+    resid = np.empty_like(t)
+    iters = np.zeros(t.shape, dtype=np.int64)
+
+    idx = np.arange(t.size)
+    rhs = t - x / c
+    s = np.clip(rhs / (1.0 - v / c), 0.0, t)
+    lo, hi = np.zeros_like(t), t
+    # Grids run to 10^5-10^6 points, so each array is dropped as soon as it
+    # is dead and the working set is compacted one array at a time: peak
+    # memory stays at about a dozen grid-sized arrays.
+    for it in range(MAX_ITERATIONS + 1):
+        alpha, ap = motion.profile.eval(Omega * s)[:2]
+        g = s - (v * s + a * alpha) / c - rhs
+        del alpha
+        done = np.abs(g) <= tol
+        if it == MAX_ITERATIONS:
+            done[:] = True
+        finished = idx[done]
+        te[finished] = s[done]
+        resid[finished] = np.abs(g[done])
+        iters[finished] = it
+        if finished.size == idx.size:
+            break
+        if finished.size:
+            keep = ~done
+            idx = idx[keep]
+            rhs = rhs[keep]
+            s = s[keep]
+            g = g[keep]
+            ap = ap[keep]
+            lo = lo[keep]
+            hi = hi[keep]
+        lo = np.where(g < 0.0, s, lo)
+        hi = np.where(g > 0.0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = s - g / (1.0 - (v + a * Omega * ap) / c)
+        del g, ap
+        # Closed bracket: a Newton step may land exactly on an endpoint
+        # (that IS the root when g is locally linear).
+        bad = ~np.isfinite(s) | (s < lo) | (s > hi)
+        s[bad] = 0.5 * (lo[bad] + hi[bad])
+    return te, resid, iters
+
+
+def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float,
+                   ts, tol: float = None):
+    """:func:`_solve_retarded` that raises :class:`NoConvergence` on a stall."""
+    if tol is None:
+        tol = DEFAULT_TOL_SCALE / medium.omega
+    ts = np.asarray(ts, dtype=float)
+    te, resid, iters = _solve_retarded(motion, medium, x, ts, tol)
+    worst = int(np.argmax(resid))
+    if resid[worst] > tol:
+        raise NoConvergence(
+            f"retarded-time solve stalled at residual {resid[worst]:.3g} "
+            f"(> {tol:.3g}) after {iters[worst]} iterations for "
+            f"(x={x}, t={ts[worst]})"
+        )
+    return te, resid, iters
+
+
 def retarded_time(motion: BoundaryMotion, medium: MediumParams, x: float,
                   t: float, tol: float = None) -> RetardedTimeResult:
     """Solve ``t_e - X_s(t_e)/c = t - x/c`` for the emission time.
 
-    Bisection narrows the ``[0, t]`` bracket below ``1e-3 * t``; Newton
-    steps (rejected back to the bracket midpoint if they would escape)
-    polish to ``|residual| <= tol`` (default ``1e-12 / omega``).
+    Safeguarded Newton iteration (see the module docstring) to
+    ``|residual| <= tol`` (default ``1e-12 / omega``).
     """
     validate(motion, medium)
     _check_point(motion, medium, x, t)
-    if tol is None:
-        tol = _default_tol(medium)
-
-    profile = motion.profile
-    if profile.is_builtin:
-        pid = _kernels.PROFILE_IDS[profile.kind]
-        te, resid, iters = _kernels.solve_retarded(
-            pid, motion.v, motion.a, motion.Omega, medium.c, x,
-            np.array([t], dtype=float), tol, MAX_ITERATIONS)
-        te, resid, iters = float(te[0]), float(resid[0]), int(iters[0])
-    else:
-        rhs = t - x / medium.c
-
-        def g(s):
-            return s - boundary_position(motion, s) / medium.c - rhs
-
-        def gp(s):
-            from .motion import boundary_velocity
-            return 1.0 - boundary_velocity(motion, s) / medium.c
-
-        te, resid, iters = _kernels.solve_retarded_scalar(
-            g, gp, t, tol, MAX_ITERATIONS)
-
-    if resid > tol:
-        raise NoConvergence(
-            f"retarded-time solve stalled at residual {resid:.3g} (> {tol:.3g}) "
-            f"after {iters} iterations for (x={x}, t={t})"
-        )
-    return RetardedTimeResult(t_e=te, residual=resid, iterations=iters)
+    te, resid, iters = _solve_checked(motion, medium, x, [t], tol)
+    return RetardedTimeResult(t_e=float(te[0]), residual=float(resid[0]),
+                              iterations=int(iters[0]))
 
 
 def _retarded_times_grid(motion: BoundaryMotion, medium: MediumParams, x: float,
                          ts: np.ndarray, tol: float = None) -> np.ndarray:
     """Vectorized emission times for a validated in-cone, in-domain grid."""
-    if tol is None:
-        tol = _default_tol(medium)
-    profile = motion.profile
-    if profile.is_builtin:
-        pid = _kernels.PROFILE_IDS[profile.kind]
-        te, resid, iters = _kernels.solve_retarded(
-            pid, motion.v, motion.a, motion.Omega, medium.c, x,
-            np.asarray(ts, dtype=float), tol, MAX_ITERATIONS)
-        if np.any(resid > tol):
-            worst = int(np.argmax(resid))
-            raise NoConvergence(
-                f"retarded-time solve stalled at residual {resid[worst]:.3g} "
-                f"for t={ts[worst]}"
-            )
-        return te
-    return np.array([retarded_time(motion, medium, x, float(t), tol).t_e
-                     for t in ts])
+    return _solve_checked(motion, medium, x, ts, tol)[0]
 
 
 def exact_field(motion: BoundaryMotion, medium: MediumParams, x: float,

@@ -7,7 +7,12 @@ import os
 import numpy as np
 import pytest
 
+import dopplerlab.cli as cli_mod
+from dopplerlab.asymptotics import moving_frame_field
 from dopplerlab.cli import main
+from dopplerlab.motion import MediumParams
+
+from conftest import make_motion
 
 
 def run(args):
@@ -52,15 +57,21 @@ class TestFmAmField:
         assert np.max(np.abs(data["re"] - data["reference"])) < 1e-12
 
     def test_field_moving_frame(self, out_dir):
-        assert run(["field", "--profile", "oscillatory", "--beta", "0",
-                    "--delta", "0.2", "--eps", "0.1", "--x", "0",
-                    "--t-min", "0", "--t-max", "20", "--samples", "101",
-                    "--frame", "moving"]) == 0
-        data = read_csv(out_dir / "field.csv")
-        # eta = 0 reproduces the boundary excitation e^{i tau}.
-        want = np.exp(1j * data["t"])
-        got = data["re"] + 1j * data["im"]
-        assert np.max(np.abs(got - want)) < 1e-12
+        motion = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        for x in (0.0, 1.5):
+            assert run(["field", "--profile", "oscillatory", "--beta", "0",
+                        "--delta", "0.2", "--eps", "0.1", "--x", repr(x),
+                        "--t-min", "0", "--t-max", "20", "--samples", "101",
+                        "--frame", "moving"]) == 0
+            data = read_csv(out_dir / "field.csv")
+            want = np.array([moving_frame_field(motion, MediumParams(1.0, 1.0), x, t)
+                             for t in data["t"]])
+            assert np.max(np.abs(data["re"] - want.real)) <= 1e-15
+            assert np.max(np.abs(data["im"] - want.imag)) <= 1e-15
+            if x == 0.0:
+                # eta = 0 reproduces the boundary excitation e^{i tau}.
+                got = data["re"] + 1j * data["im"]
+                assert np.max(np.abs(got - np.exp(1j * data["t"]))) < 1e-12
 
     def test_missing_required_flag(self, out_dir):
         assert run(["am", "--profile", "decelerating", "--beta", "0",
@@ -204,6 +215,17 @@ class TestAppendixCheck:
                     "--delta", "0", "--eps", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "max |envelope - am| = 0.000e+00" in out
+
+    def test_failed_identity_is_typed_error(self, out_dir, capsys, monkeypatch):
+        real = cli_mod.transport_amplitude
+        monkeypatch.setattr(cli_mod, "transport_amplitude",
+                            lambda *args: np.asarray(real(*args)) + 1e-6)
+        assert run(["appendix-check", "--profile", "oscillatory", "--beta", "0",
+                    "--delta", "0.2", "--eps", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert "error: IDENTITY_MISMATCH:" in err
+        assert "1.000e-06" in err
+        assert not out_dir.exists()
 
 
 class TestOutputLocation:

@@ -78,6 +78,17 @@ class TestCustomProfile:
             MotionProfile.custom(
                 lambda u: 1.0 + u, lambda u: 1.0, lambda u: 0.0, horizon=1.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_nan_slope_rejected(self, scale):
+        # NaN on [3, 3.001) hits at least one of the 10^4 samples on [0, 2 pi].
+        def alpha_prime(u):
+            return math.nan if 3.0 <= u < 3.001 else scale * math.cos(u)
+
+        with pytest.raises(InvalidNormalization):
+            MotionProfile.custom(
+                lambda u: scale * math.sin(u), alpha_prime,
+                lambda u: -scale * math.sin(u), horizon=2.0 * math.pi)
+
     def test_raising_callable_wrapped(self):
         def alpha(u):
             if u > 7.0:

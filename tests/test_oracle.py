@@ -78,9 +78,9 @@ class TestRetardedTime:
             retarded_time(m, medium, 0.5, 8.0)
 
     def test_exhausted_budget_raises(self, medium, monkeypatch):
-        # With the iteration budget capped below the bisection prefix the
-        # residual cannot reach tolerance.
-        monkeypatch.setattr(oracle_mod, "MAX_ITERATIONS", 10)
+        # One Newton step from the uniform-motion guess leaves a residual
+        # of about 4e-3, far above tolerance.
+        monkeypatch.setattr(oracle_mod, "MAX_ITERATIONS", 1)
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
         with pytest.raises(NoConvergence):
             retarded_time(m, medium, 5.0, 9.0)
@@ -90,6 +90,58 @@ class TestRetardedTime:
         ts = np.linspace(21.0, 120.0, 400)
         tes = [retarded_time(m, medium, 20.0, float(t)).t_e for t in ts]
         assert np.all(np.diff(tes) > 0.0)
+
+
+def _fixed_point_emission(motion, medium, x, ts):
+    """Iterate ``s <- (t - x/c) + X_s(s)/c``, a contraction for subsonic motion."""
+    rhs = np.asarray(ts, dtype=float) - x / medium.c
+    s = rhs.copy()
+    for _ in range(200):
+        s = rhs + np.asarray(boundary_position(motion, s)) / medium.c
+    return s
+
+
+class TestSolver:
+    @pytest.mark.parametrize("profile,beta,delta", [
+        ("constant", 0.4, 0.0),
+        ("decelerating", 0.1, -0.3),
+        ("oscillatory", -0.2, 0.4),
+        ("custom", 0.0, 0.3),
+    ])
+    def test_matches_fixed_point(self, profile, beta, delta, medium):
+        if profile == "custom":
+            profile = MotionProfile.custom(
+                lambda u: 1.0 - math.cos(u), math.sin, math.cos, horizon=30.0)
+        m = make_motion(profile, beta=beta, delta=delta, eps=0.1)
+        x = 100.0  # stays ahead of the boundary over the whole window
+        ts = np.linspace(x, x + 150.0, 301)
+        want = _fixed_point_emission(m, medium, x, ts)
+        grid = oracle_mod._retarded_times_grid(m, medium, x, ts)
+        assert np.max(np.abs(grid - want)) < 1e-11
+        for t, w in zip(ts[::30], want[::30]):
+            assert abs(retarded_time(m, medium, x, float(t)).t_e - w) < 1e-11
+
+    def test_iteration_budget(self, medium):
+        tol = oracle_mod.DEFAULT_TOL_SCALE
+        for profile in ("decelerating", "oscillatory"):
+            for delta in (-0.2, 0.2):
+                for eps in (0.1, 0.0125):
+                    m = make_motion(profile, beta=0.0, delta=delta, eps=eps)
+                    x = 0.28 / eps
+                    ts = np.linspace(x, x + 4.0 * 2.0 * math.pi / eps, 2000)
+                    _, resid, iters = oracle_mod._solve_retarded(m, medium, x, ts, tol)
+                    assert np.max(resid) <= tol
+                    assert np.max(iters) <= 6, (profile, delta, eps)
+
+    def test_custom_twin_matches_builtin(self, medium):
+        builtin = make_motion("oscillatory", beta=0.1, delta=0.3, eps=0.1)
+        sine = MotionProfile.custom(math.sin, math.cos, lambda u: -math.sin(u),
+                                    horizon=60.0)
+        twin = make_motion(sine, beta=0.1, delta=0.3, eps=0.1)
+        ts = np.linspace(100.0, 600.0, 2000)
+        te_builtin = oracle_mod._retarded_times_grid(builtin, medium, 100.0, ts)
+        te_twin = oracle_mod._retarded_times_grid(twin, medium, 100.0, ts)
+        assert np.max(np.abs(te_twin - te_builtin)) <= 1e-12
 
 
 class TestExactField:
