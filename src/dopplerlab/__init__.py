@@ -51,7 +51,6 @@ from .motion import (
     MotionProfile,
     boundary_position,
     boundary_velocity,
-    eval_profile,
     validate,
 )
 from .oracle import (
@@ -104,7 +103,6 @@ __all__ = [
     "boundary_velocity",
     "classical_doppler",
     "compare_fields",
-    "eval_profile",
     "exact_field",
     "exact_instantaneous_frequency",
     "fm_factor",

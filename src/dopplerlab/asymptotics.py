@@ -14,20 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, DegenerateRatio, ObserverInsideBoundary
+from .errors import ArgumentOutOfRange, DegenerateRatio
 from .motion import (
     BoundaryMotion,
     MediumParams,
     MotionProfile,
     _match,
-    boundary_position,
+    snap_to_boundary,
     validate,
 )
-
-#: Observers this close behind the boundary (in units of c/omega) are
-#: treated as sitting exactly on it, so receiver grids that touch the
-#: boundary do not error out from roundoff.
-BOUNDARY_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,6 +73,52 @@ def wavenumber(beta_tilde):
 
 
 # ---------------------------------------------------------------------------
+# Kinematics on one time grid.
+#
+# ``_kinematics`` is the one profile evaluation at the slow time Omega*t;
+# FM, the lab phase and its rate, the slow phase shift and the AM factor's
+# ``alpha`` are all derived from its result, so a caller that needs several
+# of them on one grid evaluates the profile there once.
+# ---------------------------------------------------------------------------
+
+def _kinematics(profile: MotionProfile, beta, delta, slow_t):
+    """``(alpha, alpha', alpha'', FM)`` at slow time ``slow_t = Omega*t``."""
+    alpha, ap, app = (np.asarray(v) for v in profile.eval(slow_t))
+    return alpha, ap, app, 1.0 / (1.0 - beta - delta * ap)
+
+
+def _am(profile: MotionProfile, beta, delta, eps, omega_x_c, slow_t, alpha):
+    """AM factor from the slow time and ``alpha`` there (two more evaluations)."""
+    _, ap_far, _ = profile.eval((1.0 - 2.0 * beta) * slow_t + eps * np.asarray(omega_x_c)
+                                - 2.0 * delta * alpha)
+    _, ap_src, _ = profile.eval((1.0 - beta) * slow_t - delta * alpha)
+    return np.exp(-0.5 * delta * (np.asarray(ap_far) - np.asarray(ap_src)))
+
+
+def _phase_shift(delta, eps, omega_t, alpha, ap, fm):
+    """Slow phase shift in radians: ``FM * (delta*alpha'*omega*t - (delta/eps)*alpha)``."""
+    return fm * (delta * ap * omega_t - (delta / eps) * alpha)
+
+
+def _phase_bracket(motion: BoundaryMotion, medium: MediumParams, delta, x, t, alpha, ap,
+                   include_phase_shift: bool):
+    """``t - x/c - shift(t)``: the lab phase is ``FM * omega`` times this."""
+    bracket = t - np.asarray(x, dtype=float) / medium.c
+    if include_phase_shift:
+        bracket = bracket - (delta * ap * t - (delta / motion.Omega) * alpha)
+    return bracket
+
+
+def _phase_rate(motion: BoundaryMotion, medium: MediumParams, delta, t, app, fm, bracket,
+                include_phase_shift: bool):
+    """Analytic time derivative of the lab phase ``FM * omega * bracket``."""
+    omega = medium.omega
+    anchor = t if include_phase_shift else 0.0
+    df = delta * motion.Omega * app
+    return omega * fm + omega * df * fm * (fm * bracket - anchor)
+
+
+# ---------------------------------------------------------------------------
 # Dimensionless closed forms.
 #
 # These take the validated group (beta, delta, eps) plus dimensionless
@@ -89,30 +130,22 @@ def wavenumber(beta_tilde):
 
 def fm_dimensionless(profile: MotionProfile, beta, delta, eps, omega_t):
     """FM factor ``1 / (1 - beta - delta*alpha'(eps*omega*t))``."""
-    _, ap, _ = profile.eval(eps * np.asarray(omega_t, dtype=float))
-    return _match(omega_t, 1.0 / (1.0 - beta - delta * np.asarray(ap)))
+    fm = _kinematics(profile, beta, delta, eps * np.asarray(omega_t, dtype=float))[3]
+    return _match(omega_t, fm)
 
 
 def am_dimensionless(profile: MotionProfile, beta, delta, eps, omega_x_c, omega_t):
     """AM factor as a function of ``omega*x/c`` and ``omega*t``."""
     st = eps * np.asarray(omega_t, dtype=float)
-    alpha, _, _ = profile.eval(st)
-    alpha = np.asarray(alpha)
-    arg_far = (1.0 - 2.0 * beta) * st + eps * np.asarray(omega_x_c) - 2.0 * delta * alpha
-    arg_src = (1.0 - beta) * st - delta * alpha
-    _, ap_far, _ = profile.eval(arg_far)
-    _, ap_src, _ = profile.eval(arg_src)
-    return _match(omega_t,
-                  np.exp(-0.5 * delta * (np.asarray(ap_far) - np.asarray(ap_src))))
+    alpha = np.asarray(profile.eval(st)[0])
+    return _match(omega_t, _am(profile, beta, delta, eps, omega_x_c, st, alpha))
 
 
 def phase_shift_dimensionless(profile: MotionProfile, beta, delta, eps, omega_t):
     """Slow phase shift in radians: ``FM * (delta*alpha'*omega*t - (delta/eps)*alpha)``."""
     wt = np.asarray(omega_t, dtype=float)
-    alpha, ap, _ = profile.eval(eps * wt)
-    fm = 1.0 / (1.0 - beta - delta * np.asarray(ap))
-    shift = delta * np.asarray(ap) * wt - (delta / eps) * np.asarray(alpha)
-    return _match(omega_t, fm * shift)
+    alpha, ap, _, fm = _kinematics(profile, beta, delta, eps * wt)
+    return _match(omega_t, _phase_shift(delta, eps, wt, alpha, ap, fm))
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +164,12 @@ def fm_factor(motion: BoundaryMotion, medium: MediumParams, t) -> float:
 def am_factor(motion: BoundaryMotion, medium: MediumParams, x, t) -> float:
     """Real envelope of the leading-order field at ``(x, t)``.
 
-    Requires ``x >= X_s(t)`` (up to a roundoff clamp at the boundary);
-    equals 1 exactly on the boundary.
+    Requires ``x >= X_s(t)`` under the boundary rule of
+    :func:`~dopplerlab.motion.snap_to_boundary`; there is no causal-cone
+    check.  Equals 1 exactly on the boundary.
     """
     beta, delta, eps = validate(motion, medium)
-    if np.any(np.asarray(t) < 0.0):
-        raise ArgumentOutOfRange(f"time must be >= 0, got {t}")
-    x = _clamp_to_boundary(motion, medium, x, t)
+    x = snap_to_boundary(motion, medium, x, t)
     return am_dimensionless(motion.profile, beta, delta, eps,
                             medium.omega * np.asarray(x, dtype=float) / medium.c,
                             medium.omega * np.asarray(t, dtype=float))
@@ -152,15 +184,10 @@ def lab_phase(motion: BoundaryMotion, medium: MediumParams, x, t,
     zeroed according to the flag.
     """
     beta, delta, _ = validate(motion, medium)
-    omega = medium.omega
     tt = np.asarray(t, dtype=float)
-    alpha, ap, _ = motion.profile.eval(motion.Omega * tt)
-    fm = 1.0 / (1.0 - beta - delta * np.asarray(ap))
-    bracket = tt - np.asarray(x, dtype=float) / medium.c
-    if include_phase_shift:
-        bracket = bracket - (delta * np.asarray(ap) * tt
-                             - (delta / motion.Omega) * np.asarray(alpha))
-    return _match(t, fm * omega * bracket)
+    alpha, ap, _, fm = _kinematics(motion.profile, beta, delta, motion.Omega * tt)
+    bracket = _phase_bracket(motion, medium, delta, x, tt, alpha, ap, include_phase_shift)
+    return _match(t, fm * medium.omega * bracket)
 
 
 def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
@@ -171,19 +198,11 @@ def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
     boundary ``x = X_s(t)``.
     """
     beta, delta, _ = validate(motion, medium)
-    omega = medium.omega
     tt = np.asarray(t, dtype=float)
-    alpha, ap, app = motion.profile.eval(motion.Omega * tt)
-    fm = 1.0 / (1.0 - beta - delta * np.asarray(ap))
-    bracket = tt - np.asarray(x, dtype=float) / medium.c
-    if include_phase_shift:
-        bracket = bracket - (delta * np.asarray(ap) * tt
-                             - (delta / motion.Omega) * np.asarray(alpha))
-        anchor = tt
-    else:
-        anchor = 0.0
-    df = delta * motion.Omega * np.asarray(app)
-    return _match(t, omega * fm + omega * df * fm * (fm * bracket - anchor))
+    alpha, ap, app, fm = _kinematics(motion.profile, beta, delta, motion.Omega * tt)
+    bracket = _phase_bracket(motion, medium, delta, x, tt, alpha, ap, include_phase_shift)
+    return _match(t, _phase_rate(motion, medium, delta, tt, app, fm, bracket,
+                                 include_phase_shift))
 
 
 def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,
@@ -201,15 +220,17 @@ def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,
     t = float(t)
     if t < 0.0 or x > medium.c * t:
         return FieldSample(x=x, t=t, value=0.0j, factors=None)
-    x = _clamp_to_boundary(motion, medium, x, t)
+    x = snap_to_boundary(motion, medium, x, t)
     omega = medium.omega
-    fm = fm_dimensionless(motion.profile, beta, delta, eps, omega * t)
-    am = am_dimensionless(motion.profile, beta, delta, eps,
-                          omega * x / medium.c, omega * t)
-    shift = phase_shift_dimensionless(motion.profile, beta, delta, eps, omega * t)
-    phase = lab_phase(motion, medium, x, t, include_phase_shift)
-    factors = ModulationFactors(fm=fm, am=am, phase_shift=shift)
-    return FieldSample(x=x, t=t, value=am * np.exp(1j * phase), factors=factors)
+    slow_t = motion.Omega * t
+    alpha, ap, _, fm = _kinematics(motion.profile, beta, delta, slow_t)
+    am = float(_am(motion.profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha))
+    phase = fm * omega * _phase_bracket(motion, medium, delta, x, t, alpha, ap,
+                                        include_phase_shift)
+    factors = ModulationFactors(
+        fm=float(fm), am=am,
+        phase_shift=float(_phase_shift(delta, eps, omega * t, alpha, ap, fm)))
+    return FieldSample(x=x, t=t, value=complex(am * np.exp(1j * phase)), factors=factors)
 
 
 def moving_frame_field(motion: BoundaryMotion, medium: MediumParams,
@@ -239,16 +260,3 @@ def moving_frame_field(motion: BoundaryMotion, medium: MediumParams,
     if np.ndim(eta) == 0 and np.ndim(tau) == 0:
         return complex(out)
     return out
-
-
-def _clamp_to_boundary(motion, medium, x, t):
-    """Snap ``x`` to ``X_s(t)`` when within roundoff; error when truly behind."""
-    xs = boundary_position(motion, t)
-    tol = BOUNDARY_CLAMP * medium.c / medium.omega
-    xa = np.asarray(x, dtype=float)
-    xsa = np.asarray(xs, dtype=float)
-    if np.any(xa < xsa - tol):
-        raise ObserverInsideBoundary(
-            f"x={x} lies behind the boundary X_s(t)={xs} at t={t}"
-        )
-    return _match(x, np.maximum(xa, xsa))

@@ -17,13 +17,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ArgumentOutOfRange
-from .motion import (
-    BoundaryMotion,
-    MediumParams,
-    _match,
-    eval_profile_extended,
-    validate,
-)
+from .motion import BoundaryMotion, MediumParams, _match, validate
 
 FAMILIES = ("plus", "minus")
 
@@ -104,8 +98,8 @@ def transport_amplitude(family: str, eta1, tau1, motion: BoundaryMotion,
     # Plus-family labels can be negative ahead of the boundary-launched
     # characteristics, so evaluate the profile formulas without the
     # trajectory-time gate.
-    _, ap_here, _ = eval_profile_extended(motion.profile, s_here)
-    _, ap_src, _ = eval_profile_extended(motion.profile, s_src)
+    _, ap_here, _ = motion.profile.eval_unchecked(s_here)
+    _, ap_src, _ = motion.profile.eval_unchecked(s_src)
     return _match(tau1 if np.ndim(tau1) else eta1,
                   np.exp(-0.5 * delta * (np.asarray(ap_here) - np.asarray(ap_src))))
 

@@ -14,24 +14,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import fields, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import signal as signal_mod
-from .asymptotics import (
-    am_dimensionless,
-    fm_dimensionless,
-    lab_phase,
-    leading_order_field,
-    moving_frame_field,
-)
+from .asymptotics import am_dimensionless, am_factor, fm_dimensionless, moving_frame_field
 from .characteristics import transport_amplitude
 from .config import RunConfig, load_config
-from .errors import (ConfigError, DopplerLabError, IdentityMismatch, NotYetReached,
-                     ObserverInsideBoundary)
-from .motion import boundary_position, validate
-from .oracle import compare_fields, exact_instantaneous_frequency
+from .errors import ConfigError, DopplerLabError, IdentityMismatch
+from .motion import MotionProfile, boundary_position, validate
+from .oracle import compare_fields
 from .svgplot import line_plot
 
 #: Environment variable naming the output directory (flag --out wins).
@@ -71,38 +65,28 @@ def _out_dir(args) -> str:
 
 
 def _build_config(args) -> RunConfig:
+    """The config file (or defaults), overridden by every flag that was given.
+
+    Flags share their names with :class:`RunConfig` fields; ``--eps`` takes
+    a comma list (its first value is ``eps``, the whole list ``eps_list``)
+    and ``--phase-shift on|off`` becomes a bool.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
     updates = {}
-    if getattr(args, "profile", None) is not None:
-        updates["profile"] = args.profile
-    if getattr(args, "beta", None) is not None:
-        updates["beta"] = args.beta
-    if getattr(args, "delta", None) is not None:
-        updates["delta"] = args.delta
-    eps_arg = getattr(args, "eps", None)
-    if eps_arg is not None:
-        values = _parse_eps(eps_arg)
-        updates["eps"] = values[0]
-        if len(values) > 1:
-            updates["eps_list"] = values
-    if getattr(args, "x", None) is not None:
-        updates["x"] = args.x
-    if getattr(args, "t_min", None) is not None:
-        updates["t_min"] = args.t_min
-    if getattr(args, "t_max", None) is not None:
-        updates["t_max"] = args.t_max
-    if getattr(args, "samples", None) is not None:
-        updates["samples"] = args.samples
-    if getattr(args, "phase_shift", None) is not None:
-        updates["phase_shift"] = args.phase_shift == "on"
-    if getattr(args, "frame", None) is not None:
-        updates["frame"] = args.frame
-    if getattr(args, "source", None) is not None:
-        updates["source"] = args.source
-    if getattr(args, "window", None) is not None:
-        updates["window"] = args.window
-    from dataclasses import replace
-    return replace(cfg, **updates) if updates else cfg
+    for name in (f.name for f in fields(RunConfig)):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if name == "eps":
+            values = _parse_eps(value)
+            updates["eps"] = values[0]
+            if len(values) > 1:
+                updates["eps_list"] = values
+        elif name == "phase_shift":
+            updates[name] = value == "on"
+        else:
+            updates[name] = value
+    return replace(cfg, **updates)
 
 
 def _parse_eps(text: str) -> List[float]:
@@ -133,18 +117,6 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(t_lo, t_hi, cfg.samples)
 
 
-def _check_lab_window(motion, medium, x: float, ts: np.ndarray) -> None:
-    if ts[0] < 0.0:
-        raise ConfigError(f"window starts at negative time {ts[0]}")
-    if ts[0] - x / medium.c < 0.0:
-        raise NotYetReached(
-            f"window starts at t={ts[0]} before the arrival time x/c={x / medium.c}")
-    xs = np.asarray(boundary_position(motion, ts))
-    if np.any(xs > x):
-        raise ObserverInsideBoundary(
-            f"boundary overtakes the receiver at x={x} inside the window")
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -169,17 +141,10 @@ def cmd_am(args) -> int:
     cfg = _build_config(args)
     medium = cfg.medium()
     motion = cfg.boundary_motion()
-    beta, delta, eps = validate(motion, medium)
+    validate(motion, medium)
     x = _require(cfg, "x")
     ts = _time_grid(cfg)
-    if ts[0] < 0.0:
-        raise ConfigError(f"window starts at negative time {ts[0]}")
-    xs = np.asarray(boundary_position(motion, ts))
-    if np.any(xs > x):
-        raise ObserverInsideBoundary(
-            f"boundary overtakes the receiver at x={x} inside the window")
-    am = am_dimensionless(motion.profile, beta, delta, eps,
-                          medium.omega * x / medium.c, medium.omega * ts)
+    am = am_factor(motion, medium, x, ts)
     out = _out_dir(args)
     path = os.path.join(out, "am.csv")
     write_csv(path, ["t", "am"], [ts, am])
@@ -208,19 +173,8 @@ def cmd_field(args) -> int:
         fm = fm_dimensionless(motion.profile, beta, delta, eps, tau)
         reference = np.cos(tau - eta)
     else:
-        _check_lab_window(motion, medium, x, ts)
-        if cfg.source == "oracle":
-            from .oracle import _retarded_times_grid
-            te = _retarded_times_grid(motion, medium, x, ts)
-            values = np.exp(1j * omega * te)
-            _, ap_e, _ = motion.profile.eval(motion.Omega * te)
-            fm = 1.0 / (1.0 - beta - delta * np.asarray(ap_e))
-        else:
-            am = am_dimensionless(motion.profile, beta, delta, eps,
-                                  omega * x / medium.c, omega * ts)
-            phase = lab_phase(motion, medium, x, ts, cfg.phase_shift)
-            values = np.asarray(am) * np.exp(1j * np.asarray(phase))
-            fm = fm_dimensionless(motion.profile, beta, delta, eps, omega * ts)
+        values, fm = signal_mod.sample_on_grid(cfg.source, motion, medium, x, ts,
+                                               cfg.phase_shift, with_fm=True)
         reference = np.cos(omega * (ts - x / medium.c))
 
     out = _out_dir(args)
@@ -241,7 +195,6 @@ def cmd_compare(args) -> int:
 
     rows = []
     for eps in eps_list:
-        from dataclasses import replace
         motion = replace(cfg, eps=eps).boundary_motion()
         x = slow_x * medium.c / (eps * omega)
         if cfg.t_min is not None and cfg.t_max is not None:
@@ -268,7 +221,6 @@ def cmd_compare(args) -> int:
 
 def _figure_modulation(fig_id: int, out: str) -> List[str]:
     """FM/AM curve families (plots 1 and 3)."""
-    from .motion import MotionProfile
     profile = MotionProfile.decelerating() if fig_id == 1 else MotionProfile.oscillatory()
     deltas = FIGURE_DELTAS[fig_id]
     wt = np.linspace(0.0, 300.0, 601)
@@ -296,7 +248,6 @@ def _figure_modulation(fig_id: int, out: str) -> List[str]:
 
 def _figure_waveform(fig_id: int, out: str) -> List[str]:
     """Waveform + envelope + stationary reference (plots 2 and 4)."""
-    from .motion import MotionProfile
     profile = (MotionProfile.decelerating() if fig_id == 2
                else MotionProfile.oscillatory())
     delta = FIGURE_WAVE_DELTA[fig_id]
@@ -356,8 +307,9 @@ def cmd_spectrum(args) -> int:
     window = "hann" if cfg.window == "hann" else "rectangular"
     spec = signal_mod.spectrum(series, window)
 
-    order = np.argsort(2.0 * np.pi * np.fft.fftfreq(n, d=dt))
-    centers = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)[order]
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+    order = np.argsort(freqs)
+    centers = freqs[order]
     mags = spec.magnitudes[order]
 
     out = _out_dir(args)

@@ -30,7 +30,6 @@ class RunConfig:
     omega: float = 1.0
     c: float = 1.0
     profile: Optional[str] = None
-    horizon: Optional[float] = None
     beta: float = 0.0
     delta: float = 0.0
     eps: float = 0.1
@@ -134,7 +133,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     if "motion" in doc:
         mot = _expect_table(doc["motion"], "motion")
-        _check_keys(mot, {"v", "a", "Omega", "profile", "horizon"}, "motion")
+        _check_keys(mot, {"v", "a", "Omega", "profile"}, "motion")
         profile = _choice(mot, "profile", "motion", PROFILES)
         if "profile" in mot and profile is None:
             raise ConfigError(f"motion.profile must be one of {PROFILES}")
@@ -145,7 +144,6 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"motion.Omega must be positive, got {Omega}")
         cfg = replace(cfg,
                       profile=profile,
-                      horizon=_number(mot, "horizon", "motion"),
                       beta=v / cfg.c,
                       delta=a * Omega / cfg.c,
                       eps=Omega / cfg.omega)

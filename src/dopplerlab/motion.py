@@ -1,10 +1,12 @@
-"""Boundary motion: profiles, trajectory, and subsonic validation.
+"""Boundary motion: profiles, trajectory, subsonic validation, receiver window.
 
 The boundary trajectory is ``X_s(t) = v*t + a*alpha(Omega*t)`` where the
 dimensionless profile ``alpha`` is normalized so that ``alpha(0) = 0`` and
 ``max |alpha'| = 1``.  Three profiles are built in (constant, decelerating,
 oscillatory) and arbitrary user profiles are accepted as explicit
-``(alpha, alpha', alpha'')`` evaluator triples.
+``(alpha, alpha', alpha'')`` evaluator triples.  A receiver hears the
+outgoing wave only inside the causal cone and ahead of the boundary;
+:func:`receiver_window` is the one guard for that.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 from .errors import (
     ArgumentOutOfRange,
     InvalidNormalization,
+    NotYetReached,
+    ObserverInsideBoundary,
     ProfileEvaluationError,
     SupersonicMotion,
 )
@@ -32,6 +36,11 @@ NORMALIZATION_TOL = 1e-6
 #: Above this value of eps = Omega/omega the scale separation is dubious;
 #: a warning (not an error) is emitted.  At eps >= 1 validation fails hard.
 EPS_WARN_THRESHOLD = 0.3
+
+#: Receivers at most this far behind the boundary, in units of c/omega,
+#: count as sitting on it, so grids that touch the boundary survive
+#: roundoff in X_s.
+BOUNDARY_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,9 +128,16 @@ class MotionProfile:
         arr = np.asarray(arg, dtype=float)
         if np.any(arr < 0.0):
             raise ArgumentOutOfRange(f"profile argument must be >= 0, got {arg}")
-        return self._eval_core(arg, arr)
+        return self.eval_unchecked(arr)
 
-    def _eval_core(self, arg, arr):
+    def eval_unchecked(self, arg):
+        """:meth:`eval` without the trajectory's ``arg >= 0`` gate.
+
+        Characteristic labels can be negative even when every time involved
+        is valid; the built-in closed forms continue naturally, and custom
+        evaluator triples are called as supplied (callers own the domain).
+        """
+        arr = np.asarray(arg, dtype=float)
         if self.kind == "constant":
             z = np.zeros_like(arr)
             return _match(arg, z), _match(arg, z), _match(arg, z)
@@ -147,21 +163,6 @@ class MotionProfile:
                 f"custom profile evaluator failed at argument {u!r}: {exc}",
                 argument=u,
             ) from exc
-
-
-def eval_profile(profile: MotionProfile, arg):
-    """Functional form of :meth:`MotionProfile.eval`."""
-    return profile.eval(arg)
-
-
-def eval_profile_extended(profile: MotionProfile, arg):
-    """Evaluate the profile formulas without the trajectory's ``arg >= 0`` gate.
-
-    Characteristic labels can be negative even when every time involved is
-    valid; the built-in closed forms continue naturally, and custom evaluator
-    triples are called as supplied (callers own the domain there).
-    """
-    return profile._eval_core(arg, np.asarray(arg, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,45 @@ def boundary_velocity(motion: BoundaryMotion, t):
     _require_nonnegative_time(t)
     _, ap, _ = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float))
     return _match(t, motion.v + motion.a * motion.Omega * np.asarray(ap))
+
+
+def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
+    """The boundary rule: ``max(x, X_s(t))`` for a receiver ahead of the boundary.
+
+    A receiver at most ``BOUNDARY_CLAMP*c/omega`` behind ``X_s(t)`` is
+    snapped onto it; one further behind raises
+    :class:`ObserverInsideBoundary`, naming the worst point and its gap.
+    ``x`` and ``t`` broadcast; the result is a float when both are scalars.
+    """
+    xa = np.asarray(x, dtype=float)
+    xs = np.asarray(boundary_position(motion, t))
+    lag = xs - xa
+    worst = int(np.argmax(lag))
+    if lag.flat[worst] > BOUNDARY_CLAMP * medium.c / medium.omega:
+        raise ObserverInsideBoundary(
+            f"x={float(np.broadcast_to(xa, lag.shape).flat[worst])} lies "
+            f"{lag.flat[worst]:.3g} behind the boundary at "
+            f"t={float(np.broadcast_to(t, lag.shape).flat[worst])}")
+    return _match(lag, np.maximum(xa, xs))
+
+
+def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) -> None:
+    """The receiver-window guard: ``x`` hears the outgoing wave at every ``ts``.
+
+    In order: every ``t >= 0`` (:class:`ArgumentOutOfRange`), every
+    ``t >= x/c`` with no slack (:class:`NotYetReached`), then the boundary
+    rule of :func:`snap_to_boundary`.  Callers keep ``x`` itself: the snap
+    moves it by at most ``BOUNDARY_CLAMP*c/omega``, and the ``X_s`` grid is
+    dropped before any solve.
+    """
+    first = float(np.min(ts))
+    if first < 0.0:
+        raise ArgumentOutOfRange(f"time must be >= 0, got {first}")
+    if first < x / medium.c:
+        raise NotYetReached(
+            f"(x={x}, t={first}) is outside the causal cone: no signal has "
+            f"arrived before x/c={x / medium.c}")
+    snap_to_boundary(motion, medium, x, ts)
 
 
 def _profile_speed_sup(profile: MotionProfile, beta: float, delta: float) -> float:

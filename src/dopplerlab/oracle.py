@@ -23,14 +23,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .asymptotics import BOUNDARY_CLAMP, am_dimensionless, lab_phase, lab_phase_rate
-from .errors import (
-    ArgumentOutOfRange,
-    NoConvergence,
-    NotYetReached,
-    ObserverInsideBoundary,
-)
-from .motion import BoundaryMotion, MediumParams, boundary_position, validate
+from .asymptotics import _am, _kinematics, _phase_bracket, _phase_rate
+from .errors import ArgumentOutOfRange, NoConvergence
+from .motion import BoundaryMotion, MediumParams, receiver_window, validate
 
 #: Default solver tolerance scale: |residual| <= 1e-12 / omega keeps the
 #: oracle phase accurate to 1e-12 radians.
@@ -56,21 +51,6 @@ class ComparisonReport:
     max_modulus_error: float
     max_phase_error: float
     max_freq_rel_error: float
-
-
-def _check_point(motion: BoundaryMotion, medium: MediumParams, x: float, t: float):
-    if t < 0.0:
-        raise ArgumentOutOfRange(f"time must be >= 0, got {t}")
-    if t - x / medium.c < 0.0:
-        raise NotYetReached(
-            f"(x={x}, t={t}) is outside the causal cone: no signal has arrived"
-        )
-    # Snap tolerance keeps receivers placed exactly on the boundary valid
-    # through roundoff in X_s; matches the clamp in the asymptotics layer.
-    if x < boundary_position(motion, t) - BOUNDARY_CLAMP * medium.c / medium.omega:
-        raise ObserverInsideBoundary(
-            f"x={x} lies behind the boundary at t={t}"
-        )
 
 
 def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
@@ -153,7 +133,7 @@ def retarded_time(motion: BoundaryMotion, medium: MediumParams, x: float,
     ``|residual| <= tol`` (default ``1e-12 / omega``).
     """
     validate(motion, medium)
-    _check_point(motion, medium, x, t)
+    receiver_window(motion, medium, x, [t])
     te, resid, iters = _solve_checked(motion, medium, x, [t], tol)
     return RetardedTimeResult(t_e=float(te[0]), residual=float(resid[0]),
                               iterations=int(iters[0]))
@@ -174,8 +154,6 @@ def exact_field(motion: BoundaryMotion, medium: MediumParams, x: float,
     validate(motion, medium)
     if t < 0.0 or t - x / medium.c < 0.0:
         return 0.0j
-    if x < boundary_position(motion, t):
-        raise ObserverInsideBoundary(f"x={x} lies behind the boundary at t={t}")
     res = retarded_time(motion, medium, x, t)
     return complex(np.exp(1j * medium.omega * res.t_e))
 
@@ -190,8 +168,8 @@ def exact_instantaneous_frequency(motion: BoundaryMotion, medium: MediumParams,
     """
     beta, delta, _ = validate(motion, medium)
     res = retarded_time(motion, medium, x, t)
-    _, ap, _ = motion.profile.eval(motion.Omega * res.t_e)
-    return medium.omega / (1.0 - beta - delta * ap)
+    return medium.omega * float(_kinematics(motion.profile, beta, delta,
+                                            motion.Omega * res.t_e)[3])
 
 
 def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
@@ -213,29 +191,31 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     if n_samples < 2:
         raise ArgumentOutOfRange(f"need at least 2 samples, got {n_samples}")
     ts = np.linspace(t_lo, t_hi, int(n_samples))
-    _check_point(motion, medium, x, t_lo)
-    xs = boundary_position(motion, ts)
-    if np.any(np.asarray(xs) > x):
-        raise ObserverInsideBoundary(
-            f"boundary overtakes x={x} inside the window {t_window}"
-        )
+    receiver_window(motion, medium, x, ts)
 
-    omega = medium.omega
+    # The exact side goes first, so the emission times are dropped before
+    # the asymptotic side builds its kinematics: peak memory stays at the
+    # solver's.
+    omega, profile = medium.omega, motion.profile
     te = _retarded_times_grid(motion, medium, x, ts)
-
-    # Moduli of the two sampled fields: the exact field has unit modulus,
-    # the asymptotic field's modulus is its AM factor.
-    am = am_dimensionless(motion.profile, beta, delta, eps,
-                          omega * x / medium.c, omega * ts)
-    max_modulus = float(np.max(np.abs(np.abs(am) - 1.0)))
-
-    phase_asym = lab_phase(motion, medium, x, ts, include_phase_shift)
     phase_exact = omega * te
-    max_phase = float(np.max(np.abs(phase_asym - phase_exact)))
+    freq_exact = omega * _kinematics(profile, beta, delta, motion.Omega * te)[3]
+    del te
 
-    freq_asym = lab_phase_rate(motion, medium, x, ts, include_phase_shift)
-    _, ap_e, _ = motion.profile.eval(motion.Omega * te)
-    freq_exact = omega / (1.0 - beta - delta * np.asarray(ap_e))
+    # The asymptotic side: one profile evaluation on the grid feeds the
+    # phase, the AM factor (the modulus of the sampled field) and the phase
+    # rate, each array dropped once its last use is done.
+    slow_t = motion.Omega * ts
+    alpha, ap, app, fm = _kinematics(profile, beta, delta, slow_t)
+    bracket = _phase_bracket(motion, medium, delta, x, ts, alpha, ap, include_phase_shift)
+    del ap
+    max_phase = float(np.max(np.abs(fm * omega * bracket - phase_exact)))
+    del phase_exact
+    am = _am(profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha)
+    del slow_t, alpha
+    max_modulus = float(np.max(np.abs(np.abs(am) - 1.0)))
+    del am
+    freq_asym = _phase_rate(motion, medium, delta, ts, app, fm, bracket, include_phase_shift)
     max_freq = float(np.max(np.abs(freq_asym - freq_exact) / freq_exact))
 
     return ComparisonReport(max_modulus_error=max_modulus,

@@ -14,14 +14,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .asymptotics import BOUNDARY_CLAMP, am_dimensionless, lab_phase
-from .errors import (
-    AliasingSuspected,
-    ArgumentOutOfRange,
-    NotYetReached,
-    ObserverInsideBoundary,
-)
-from .motion import BoundaryMotion, MediumParams, boundary_position, validate
+from .asymptotics import _am, _kinematics, _phase_bracket
+from .errors import AliasingSuspected, ArgumentOutOfRange
+from .motion import BoundaryMotion, MediumParams, receiver_window, validate
 from .oracle import _retarded_times_grid
 
 SOURCES = ("asymptotic", "oracle")
@@ -77,48 +72,51 @@ class Spectrum:
     peaks: List[Tuple[float, float]] = field(default_factory=list)
 
 
+def sample_on_grid(source: str, motion: BoundaryMotion, medium: MediumParams, x: float,
+                   ts, include_phase_shift: bool = False, with_fm: bool = False):
+    """Field values at a receiver at ``x`` over the time grid ``ts``, and its FM.
+
+    The one path that samples a receiver.  The whole grid must pass
+    :func:`~dopplerlab.motion.receiver_window`: inside the causal cone and
+    ahead of the boundary, with no acausal zero-padding.  Returns
+    ``(values, fm)``.  The oracle gives ``exp(i*omega*t_e)`` with FM at the
+    emission time (the exact received frequency over ``omega``), and
+    computes it only when ``with_fm`` is set (``fm`` is None otherwise).
+    The asymptotic source gives ``AM * exp(i*phase)`` with FM at the
+    reception time; ``include_phase_shift`` only affects this source.
+    """
+    if source not in SOURCES:
+        raise ArgumentOutOfRange(f"source must be one of {SOURCES}, got {source!r}")
+    beta, delta, eps = validate(motion, medium)
+    ts = np.asarray(ts, dtype=float)
+    receiver_window(motion, medium, x, ts)
+    omega, profile = medium.omega, motion.profile
+    if source == "oracle":
+        te = _retarded_times_grid(motion, medium, x, ts)
+        fm = _kinematics(profile, beta, delta, motion.Omega * te)[3] if with_fm else None
+        return np.exp(1j * omega * te), fm
+    slow_t = motion.Omega * ts
+    alpha, ap, _, fm = _kinematics(profile, beta, delta, slow_t)
+    am = _am(profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha)
+    phase = fm * omega * _phase_bracket(motion, medium, delta, x, ts, alpha, ap,
+                                        include_phase_shift)
+    return am * np.exp(1j * phase), fm
+
+
 def sample_receiver(source: str, motion: BoundaryMotion, medium: MediumParams,
                     x: float, t0: float, dt: float, n: int,
                     include_phase_shift: bool = False) -> ReceiverSeries:
     """Record ``n`` field samples at ``t0 + j*dt`` for a receiver at ``x``.
 
-    Every sample must lie inside the causal cone and ahead of the boundary:
-    windows that would need acausal zero-padding are rejected outright.
-    ``include_phase_shift`` only affects the asymptotic source.
+    :func:`sample_on_grid` on that grid; ``include_phase_shift`` only
+    affects the asymptotic source.
     """
-    if source not in SOURCES:
-        raise ArgumentOutOfRange(f"source must be one of {SOURCES}, got {source!r}")
     if n < 2:
         raise ArgumentOutOfRange(f"need at least 2 samples, got {n}")
     if not (dt > 0.0):
         raise ArgumentOutOfRange(f"dt must be positive, got {dt}")
-    beta, delta, eps = validate(motion, medium)
-    if t0 < 0.0:
-        raise ArgumentOutOfRange(f"start time must be >= 0, got {t0}")
-
-    ts = t0 + dt * np.arange(int(n))
-    if ts[0] - x / medium.c < -1e-15 * max(1.0, abs(x / medium.c)):
-        raise NotYetReached(
-            f"window starts at t0={t0} before the arrival time x/c={x / medium.c}"
-        )
-    # Snap tolerance so receivers placed exactly on the boundary survive
-    # roundoff in X_s; matches the clamp in the asymptotics layer.
-    xs = boundary_position(motion, ts)
-    snap = BOUNDARY_CLAMP * medium.c / medium.omega
-    if np.any(np.asarray(xs) > x + snap):
-        raise ObserverInsideBoundary(
-            f"boundary overtakes the receiver at x={x} inside the window"
-        )
-
-    omega = medium.omega
-    if source == "oracle":
-        te = _retarded_times_grid(motion, medium, x, ts)
-        values = np.exp(1j * omega * te)
-    else:
-        am = am_dimensionless(motion.profile, beta, delta, eps,
-                              omega * x / medium.c, omega * ts)
-        phase = lab_phase(motion, medium, x, ts, include_phase_shift)
-        values = np.asarray(am) * np.exp(1j * np.asarray(phase))
+    values, _ = sample_on_grid(source, motion, medium, x, t0 + dt * np.arange(int(n)),
+                               include_phase_shift)
     return ReceiverSeries(x=x, t0=float(t0), dt=float(dt), values=values,
                           source=source)
 
@@ -167,12 +165,10 @@ def spectrum(series: ReceiverSeries, window: str = "rectangular") -> Spectrum:
     bin_width = 2.0 * np.pi / (n * series.dt)
     centers = 2.0 * np.pi * np.fft.fftfreq(n, d=series.dt)
 
-    threshold = PEAK_THRESHOLD * float(np.max(mags))
-    candidates = [
-        k for k in range(1, n - 1)
-        if mags[k] > threshold and mags[k] > mags[k - 1] and mags[k] >= mags[k + 1]
-    ]
-    candidates.sort(key=lambda k: (-mags[k], k))
+    inner = mags[1:-1]
+    candidates = 1 + np.flatnonzero((inner > PEAK_THRESHOLD * float(np.max(mags)))
+                                    & (inner > mags[:-2]) & (inner >= mags[2:]))
+    candidates = candidates[np.argsort(-mags[candidates], kind="stable")]
     kept: List[int] = []
     for k in candidates:
         if all(abs(k - j) >= PEAK_MIN_SEPARATION for j in kept):

@@ -52,6 +52,8 @@ def test_unknown_nested_key_rejected():
         parse_config({"medium": {"omega": 1.0, "speed": 3.0}})
     with pytest.raises(ConfigError):
         parse_config({"flags": {"phase_shift": "on", "color": "red"}})
+    with pytest.raises(ConfigError):
+        parse_config({"motion": {"profile": "oscillatory", "horizon": 10.0}})
 
 
 def test_bad_flag_values_rejected():

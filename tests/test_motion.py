@@ -18,7 +18,6 @@ from dopplerlab.motion import (
     MotionProfile,
     boundary_position,
     boundary_velocity,
-    eval_profile,
     validate,
 )
 
@@ -27,17 +26,17 @@ from conftest import make_motion
 
 class TestProfileEval:
     def test_decelerating_at_zero(self):
-        a, ap, app = eval_profile(MotionProfile.decelerating(), 0.0)
+        a, ap, app = MotionProfile.decelerating().eval(0.0)
         assert (a, ap, app) == (0.0, 1.0, -1.0)
 
     def test_oscillatory_at_pi(self):
-        a, ap, app = eval_profile(MotionProfile.oscillatory(), math.pi)
+        a, ap, app = MotionProfile.oscillatory().eval(math.pi)
         assert a == pytest.approx(0.0, abs=1e-15)
         assert ap == pytest.approx(-1.0, abs=1e-15)
         assert app == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_anywhere(self):
-        assert eval_profile(MotionProfile.constant(), 5.0) == (0.0, 0.0, 0.0)
+        assert MotionProfile.constant().eval(5.0) == (0.0, 0.0, 0.0)
 
     def test_vectorized_matches_scalar(self):
         prof = MotionProfile.oscillatory()

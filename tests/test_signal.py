@@ -185,6 +185,32 @@ class TestSpectrum:
         idx = sorted(int(round(f / spec.bin_width)) % n for f, _ in spec.peaks)
         assert all(b - a >= 2 for a, b in zip(idx, idx[1:]))
 
+    def test_peaks_match_loop_reference(self, medium, rng):
+        # The per-bin loop that the vectorised peak picking replaced.
+        def loop_peaks(series):
+            n = len(series)
+            mags = np.abs(np.fft.fft(series.values))
+            centers = 2.0 * np.pi * np.fft.fftfreq(n, d=series.dt)
+            threshold = 0.01 * float(np.max(mags))
+            candidates = [k for k in range(1, n - 1)
+                          if mags[k] > threshold and mags[k] > mags[k - 1]
+                          and mags[k] >= mags[k + 1]]
+            candidates.sort(key=lambda k: (-mags[k], k))
+            kept = []
+            for k in candidates:
+                if all(abs(k - j) >= 2 for j in kept):
+                    kept.append(k)
+            return [(float(centers[k]), float(mags[k])) for k in kept]
+
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        comb = sample_receiver("oracle", m, medium, 5.0, 5.0, 0.15, 2048)
+        noise = ReceiverSeries(x=0.0, t0=0.0, dt=0.1,
+                               values=rng.normal(size=512) + 1j * rng.normal(size=512))
+        plateau = ReceiverSeries(x=0.0, t0=0.0, dt=1.0,
+                                 values=np.fft.ifft([0, 3, 3, 1, 5, 5, 5, 0, 2, 0, 0, 4]))
+        for series in (comb, noise, plateau):
+            assert spectrum(series).peaks == loop_peaks(series)
+
     def test_too_short_rejected(self):
         series = ReceiverSeries(x=0.0, t0=0.0, dt=1.0,
                                 values=np.ones(4, complex))
