@@ -46,10 +46,11 @@ def line_plot(path: str, title: str, xlabel: str, ylabel: str,
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(v: float) -> float:
+    # Pixel coordinates; scalars (ticks) and arrays (curves) alike.
+    def sx(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -86,12 +87,13 @@ def line_plot(path: str, title: str, xlabel: str, ylabel: str,
                  f'font-size="14" transform="rotate(-90 20 {MARGIN_T + plot_h / 2:.1f})">'
                  f'{ylabel}</text>')
 
-    # Curves.
-    for (_, ydata, style) in series:
+    # Curves: one "x,y" template per point, filled by one % operation.
+    px = sx(x)
+    points = " ".join(["%.2f,%.2f"] * len(x))
+    for (_, _, style), y in zip(series, ys):
         dash = _DASHES[style]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        pts = " ".join(f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}"
-                       for xv, yv in zip(x, np.asarray(ydata, dtype=float)))
+        pts = points % tuple(np.column_stack((px, sy(y))).ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="black" '
                      f'stroke-width="1.2"{dash_attr}/>')
 

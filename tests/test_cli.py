@@ -114,6 +114,52 @@ class TestValidationGate:
         assert code == 3
         assert not (out / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_spectrum_too_few_samples(self, tmp_path, capsys, samples):
+        out = tmp_path / "never"
+        code = run(["spectrum", "--profile", "oscillatory", "--beta", "0",
+                    "--delta", "0.2", "--eps", "0.1", "--x", "5",
+                    "--t-min", "5", "--t-max", "319.2", "--samples", samples,
+                    "--source", "oracle", "--out", str(out)])
+        assert code == 2
+        assert f"error: BAD_CONFIG: need samples >= 2, got {samples}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["field", "--x", "nan", "--t-min", "5", "--t-max", "30"], "x"),
+        (["field", "--x", "nan", "--t-min", "5", "--t-max", "30", "--source", "oracle"], "x"),
+        (["field", "--x", "5", "--t-min", "5", "--t-max", "inf"], "t_max"),
+        (["am", "--x", "inf", "--t-min", "5", "--t-max", "30"], "x"),
+        (["fm", "--t-min", "0", "--t-max", "1e400"], "t_max"),
+        (["fm", "--t-min", "0", "--t-max", "10", "--beta", "nan"], "beta"),
+        (["fm", "--t-min", "0", "--t-max", "10", "--delta", "nan"], "delta"),
+        (["compare", "--eps", "0.1,nan", "--x", "0.3"], "eps_list"),
+    ])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, argv, field):
+        # Later flags override the finite defaults given first.
+        base = ["--profile", "oscillatory", "--beta", "0", "--delta", "0.2",
+                "--eps", "0.1", "--samples", "11"]
+        out = tmp_path / "never"
+        assert run(argv[:1] + base + argv[1:] + ["--out", str(out)]) == 2
+        assert f"error: BAD_CONFIG: {field} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("receiver", "x", math.nan),
+        ("window", "t_max", math.inf),
+        ("motion", "a", math.nan),
+    ])
+    def test_non_finite_json_rejected(self, tmp_path, capsys, section, key, value):
+        doc = {"motion": {"profile": "oscillatory", "v": 0.0, "a": 2.0, "Omega": 0.1},
+               "receiver": {"x": 5.0}, "window": {"t_min": 5.0, "t_max": 30.0}}
+        doc[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        out = tmp_path / "never"
+        assert run(["field", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: BAD_CONFIG:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
