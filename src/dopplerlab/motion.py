@@ -12,7 +12,7 @@ outgoing wave only inside the causal cone and ahead of the boundary;
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -36,6 +36,12 @@ NORMALIZATION_TOL = 1e-6
 #: Above this value of eps = Omega/omega the scale separation is dubious;
 #: a warning (not an error) is emitted.  At eps >= 1 validation fails hard.
 EPS_WARN_THRESHOLD = 0.3
+
+#: Sampled times must keep ``omega*t`` below this.  One ulp of the phase
+#: here is 2**-20 (about 9.5e-7 rad), still far below the phase changes the
+#: boundary motion causes; past it the shift rounds away (at ``omega*t``
+#: near 1e17 one ulp is 16 rad).
+MAX_OMEGA_T = 2**32
 
 #: Receivers at most this far behind the boundary, in units of c/omega,
 #: count as sitting on it, so grids that touch the boundary survive
@@ -93,9 +99,11 @@ class MotionProfile:
     def custom(cls, alpha, alpha_prime, alpha_pprime, horizon: float) -> "MotionProfile":
         """User-supplied evaluator triple, checked numerically at construction.
 
-        ``alpha(0) = 0`` must hold and ``max |alpha'|`` over ``[0, horizon]``
-        must equal 1 within 1e-6 (sampled on 10^4 uniform points).
-        ``alpha''`` is trusted to be continuous.
+        All three callables are evaluated at 0, where ``alpha(0) = 0`` must
+        hold.  Only ``alpha'`` is sampled beyond that: ``max |alpha'|`` on
+        10^4 uniform points of ``[0, horizon]`` must equal 1 within 1e-6.
+        ``alpha`` and ``alpha''`` are trusted to be continuous.  Receiver
+        windows must keep ``Omega*t <= horizon`` (:func:`snap_to_boundary`).
         """
         if not (horizon > 0.0):
             raise ArgumentOutOfRange(
@@ -106,7 +114,8 @@ class MotionProfile:
         a0 = prof.eval(0.0)[0]
         if abs(a0) > 1e-12:
             raise InvalidNormalization(f"alpha(0) must be 0, got {a0!r}")
-        slopes = prof.eval(np.linspace(0.0, horizon, NORMALIZATION_SAMPLES))[1]
+        grid = np.linspace(0.0, horizon, NORMALIZATION_SAMPLES)
+        slopes, = _map_custom((alpha_prime,), grid)
         if not np.all(np.isfinite(slopes)):
             raise InvalidNormalization(f"alpha' is not finite everywhere on [0, {horizon}]")
         sup = float(np.max(np.abs(slopes)))
@@ -115,15 +124,15 @@ class MotionProfile:
                 f"max|alpha'| over [0, {horizon}] is {sup:.8g}, expected 1 "
                 f"within {NORMALIZATION_TOL}"
             )
-        return cls(kind="custom", alpha=alpha, alpha_prime=alpha_prime,
-                   alpha_pprime=alpha_pprime, horizon=float(horizon),
-                   slope_range=(float(np.min(slopes)), float(np.max(slopes))))
+        return replace(prof, slope_range=(float(np.min(slopes)), float(np.max(slopes))))
 
     def eval(self, arg):
         """Return ``(alpha, alpha', alpha'')`` at ``arg >= 0``.
 
-        Accepts a scalar or an ndarray for the built-in profiles; custom
-        evaluators are called pointwise with scalars.
+        Accepts a scalar or an ndarray.  Custom evaluators receive one
+        Python float at a time and must return something ``float()``
+        accepts; a failure raises :class:`ProfileEvaluationError` naming
+        the first failing argument in ravel order.
         """
         arr = np.asarray(arg, dtype=float)
         if np.any(arr < 0.0):
@@ -147,22 +156,44 @@ class MotionProfile:
         if self.kind == "oscillatory":
             sin = np.sin(arr)
             return _match(arg, sin), _match(arg, np.cos(arr)), _match(arg, -sin)
-        # custom
+        triple = (self.alpha, self.alpha_prime, self.alpha_pprime)
         if arr.ndim == 0:
-            return self._eval_custom_scalar(float(arr))
-        out = np.empty((3, arr.size))
-        for i, u in enumerate(arr.ravel()):
-            out[:, i] = self._eval_custom_scalar(float(u))
-        return tuple(out.reshape((3,) + arr.shape))
+            return _call_custom(triple, float(arr))
+        return _map_custom(triple, arr)
 
-    def _eval_custom_scalar(self, u: float):
-        try:
-            return float(self.alpha(u)), float(self.alpha_prime(u)), float(self.alpha_pprime(u))
-        except Exception as exc:
-            raise ProfileEvaluationError(
-                f"custom profile evaluator failed at argument {u!r}: {exc}",
-                argument=u,
-            ) from exc
+
+def _call_custom(callables, u: float) -> tuple:
+    """Each custom evaluator at the one point ``u``, as Python floats."""
+    try:
+        return tuple([float(f(u)) for f in callables])
+    except Exception as exc:
+        raise ProfileEvaluationError(
+            f"custom profile evaluator failed at argument {u!r}: {exc}",
+            argument=u,
+        ) from exc
+
+
+def _map_custom(callables, arr: np.ndarray) -> tuple:
+    """Each custom evaluator mapped over ``arr`` in one pass, one array each.
+
+    Every call receives and returns a Python float, exactly as
+    :func:`_call_custom` does, so the values are bit-identical to a
+    point-by-point loop.  The points are iterated lazily: no list of the
+    whole grid is built.  On a failure the grid is rerun point by point to
+    name the first failing argument in ravel order.
+    """
+    try:
+        return tuple(
+            np.fromiter(map(float, map(f, map(float, arr.ravel()))), float,
+                        arr.size).reshape(arr.shape)
+            for f in callables)
+    except Exception as exc:
+        for u in arr.ravel():
+            _call_custom(callables, float(u))
+        raise ProfileEvaluationError(
+            f"custom profile evaluator failed on an array of shape {arr.shape}, "
+            f"but not when rerun point by point: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -212,8 +243,20 @@ def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
     A receiver at most ``BOUNDARY_CLAMP*c/omega`` behind ``X_s(t)`` is
     snapped onto it; one further behind raises
     :class:`ObserverInsideBoundary`, naming the worst point and its gap.
+    Before any of that, :class:`ArgumentOutOfRange` rejects a latest time
+    with ``Omega*t`` past a custom profile's validated horizon, or with
+    ``omega*t >= MAX_OMEGA_T``.
     ``x`` and ``t`` broadcast; the result is a float when both are scalars.
     """
+    last = float(np.max(t))
+    if motion.profile.kind == "custom" and motion.Omega * last > motion.profile.horizon:
+        raise ArgumentOutOfRange(
+            f"t={last} puts Omega*t={motion.Omega * last:.6g} past the custom "
+            f"profile's validated horizon {motion.profile.horizon}")
+    if medium.omega * last >= MAX_OMEGA_T:
+        raise ArgumentOutOfRange(
+            f"t={last} puts omega*t={medium.omega * last:.6g} at or past "
+            f"MAX_OMEGA_T=2**32: float phase resolution is lost")
     xa = np.asarray(x, dtype=float)
     xs = np.asarray(boundary_position(motion, t))
     lag = xs - xa

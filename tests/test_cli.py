@@ -160,6 +160,17 @@ class TestValidationGate:
         assert "error: BAD_CONFIG:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["oracle", "asymptotic"])
+    def test_time_past_phase_resolution_rejected(self, tmp_path, capsys, source):
+        # One ulp of t near 1e17 is 16: the boundary's phase shift rounds away.
+        out = tmp_path / "never"
+        code = run(["field", "--source", source, "--profile", "oscillatory",
+                    "--delta", "0.2", "--eps", "0.1", "--x", "5",
+                    "--t-min", "1e17", "--t-max", "2e17", "--out", str(out)])
+        assert code == 2
+        assert "error: ARG_OUT_OF_RANGE:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

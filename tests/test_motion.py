@@ -1,6 +1,7 @@
 """Trajectory profiles, boundary kinematics, and parameter validation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dopplerlab.errors import (
     SupersonicMotion,
 )
 from dopplerlab.motion import (
+    NORMALIZATION_SAMPLES,
     BoundaryMotion,
     DimensionlessGroup,
     MediumParams,
@@ -99,6 +101,82 @@ class TestCustomProfile:
         with pytest.raises(ProfileEvaluationError) as excinfo:
             prof.eval(7.5)
         assert excinfo.value.argument == 7.5
+
+
+def _sine_twin(alpha=lambda u: 1.0 - math.cos(u), alpha_prime=math.sin,
+               alpha_pprime=math.cos, horizon=4.0 * math.pi):
+    return MotionProfile.custom(alpha, alpha_prime, alpha_pprime, horizon=horizon)
+
+
+def _fails_from(start, f):
+    def call(u):
+        if u >= start:
+            raise ValueError(f"fails from {start}")
+        return f(u)
+    return call
+
+
+class TestCustomArrayEvaluation:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4), (0,), (2, 0)])
+    def test_array_bit_identical_to_pointwise(self, shape):
+        prof = _sine_twin()
+        args = np.random.default_rng(3).uniform(0.0, 12.0, size=shape)
+        got = prof.eval(args)
+        want = np.array([prof.eval(float(u)) for u in np.ravel(args)]).reshape(-1, 3)
+        for k in range(3):
+            assert np.shape(got[k]) == np.shape(args)
+            assert np.asarray(got[k]).tobytes() == want[:, k].tobytes()
+
+    def test_construction_samples_only_alpha_prime(self):
+        calls = Counter()
+
+        def counted(name, f):
+            def call(u):
+                calls[name] += 1
+                return f(u)
+            return call
+
+        _sine_twin(counted("alpha", lambda u: 1.0 - math.cos(u)),
+                   counted("alpha'", math.sin), counted("alpha''", math.cos))
+        assert calls == {"alpha": 1, "alpha'": NORMALIZATION_SAMPLES + 1, "alpha''": 1}
+
+    def test_first_failing_point_named(self):
+        # alpha' fails from u = 3 and alpha from u = 5: the array pass meets
+        # alpha's failure first, but the first failing point is 3.
+        prof = _sine_twin(_fails_from(5.0, lambda u: 1.0 - math.cos(u)),
+                          _fails_from(3.0, math.sin), horizon=2.0)
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            prof.eval(np.arange(8.0).reshape(2, 4))
+        assert excinfo.value.argument == 3.0
+
+    def test_non_float_result_named(self):
+        prof = _sine_twin(alpha_pprime=lambda u: "abc" if u >= 4.0 else math.cos(u))
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            prof.eval(np.arange(8.0))
+        assert excinfo.value.argument == 4.0
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_failure_not_reproduced_pointwise(self):
+        armed = []
+
+        def flaky(u):
+            if armed:
+                armed.pop()
+                raise ValueError("first call only")
+            return 1.0 - math.cos(u)
+
+        prof = _sine_twin(flaky)
+        armed.append(True)
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            prof.eval(np.arange(8.0))
+        assert excinfo.value.argument is None
+        assert str(excinfo.value.__cause__) == "first call only"
+
+    def test_alpha_prime_failure_at_construction_named(self):
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            _sine_twin(alpha_prime=_fails_from(1.0, math.sin))
+        grid = np.linspace(0.0, 4.0 * math.pi, NORMALIZATION_SAMPLES)
+        assert excinfo.value.argument == float(grid[grid >= 1.0][0])
 
 
 class TestBoundaryKinematics:
