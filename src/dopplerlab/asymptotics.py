@@ -21,6 +21,7 @@ from .motion import (
     MotionProfile,
     _match,
     snap_to_boundary,
+    time_window,
     validate,
 )
 
@@ -153,10 +154,9 @@ def phase_shift_dimensionless(profile: MotionProfile, beta, delta, eps, omega_t)
 # ---------------------------------------------------------------------------
 
 def fm_factor(motion: BoundaryMotion, medium: MediumParams, t) -> float:
-    """Instantaneous frequency magnification ``1/(1 - beta - delta*alpha'(Omega t))``."""
+    """FM ``1/(1 - beta - delta*alpha'(Omega t))`` at times that pass :func:`time_window`."""
     beta, delta, eps = validate(motion, medium)
-    if np.any(np.asarray(t) < 0.0):
-        raise ArgumentOutOfRange(f"time must be >= 0, got {t}")
+    time_window(motion, medium, t)
     return fm_dimensionless(motion.profile, beta, delta, eps,
                             medium.omega * np.asarray(t, dtype=float))
 
@@ -241,13 +241,15 @@ def moving_frame_field(motion: BoundaryMotion, medium: MediumParams,
     dimensionless time; at ``eta = 0`` this is exactly the boundary
     excitation ``e^{i tau}``.  At ``eta = (x - X_s(t)) * omega / c``,
     ``tau = omega*t`` it agrees with :func:`leading_order_field` (phase
-    shift included) to machine precision.
+    shift included) to machine precision.  ``eta`` must be >= 0 and the
+    times ``tau/omega`` must pass :func:`~dopplerlab.motion.time_window`.
     """
     beta, delta, eps = validate(motion, medium)
     eta = np.asarray(eta, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if np.any(eta < 0.0) or np.any(tau < 0.0):
-        raise ArgumentOutOfRange("moving-frame coordinates must be >= 0")
+    time_window(motion, medium, tau / medium.omega)
+    if np.any(eta < 0.0):
+        raise ArgumentOutOfRange("moving-frame distance eta must be >= 0")
     st = eps * tau
     alpha, ap, _ = motion.profile.eval(st)
     base = (1.0 - beta) * st - delta * np.asarray(alpha)

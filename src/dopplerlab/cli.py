@@ -21,13 +21,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import signal as signal_mod
-from .asymptotics import am_dimensionless, am_factor, fm_dimensionless, moving_frame_field
+from .asymptotics import (am_dimensionless, am_factor, fm_dimensionless, fm_factor,
+                          moving_frame_field)
 from .characteristics import transport_amplitude
 from .config import RunConfig, load_config
 from .errors import ConfigError, DopplerLabError, IdentityMismatch
 from .motion import MotionProfile, boundary_position, validate
 from .oracle import compare_fields
-from .svgplot import line_plot
+from .svgplot import line_plot, write_text
 
 #: Environment variable naming the output directory (flag --out wins).
 OUT_ENV_VAR = "DOPPLER_LAB_OUT"
@@ -58,15 +59,18 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
     The columns are stacked once and formatted ``CSV_BLOCK`` rows at a
     time by one row template repeated over the block.  ``"%.17g" % v`` and
     ``f"{v:.17g}"`` render a float identically, so the bytes are those of
-    a cell-by-cell writer.
+    a cell-by-cell writer, written whole or not at all.
     """
     table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+
+    def text():
+        yield ",".join(header) + "\n"
         for start in range(0, len(table), CSV_BLOCK):
             block = table[start:start + CSV_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            yield (row * len(block)) % tuple(block.ravel().tolist())
+
+    write_text(path, text())
 
 
 def _out_dir(args) -> str:
@@ -148,11 +152,8 @@ def cmd_fm(args) -> int:
     cfg = _build_config(args)
     medium = cfg.medium()
     motion = cfg.boundary_motion()
-    beta, delta, eps = validate(motion, medium)
     ts = _time_grid(cfg)
-    if ts[0] < 0.0:
-        raise ConfigError(f"window starts at negative time {ts[0]}")
-    fm = fm_dimensionless(motion.profile, beta, delta, eps, medium.omega * ts)
+    fm = fm_factor(motion, medium, ts)
     out = _out_dir(args)
     path = os.path.join(out, "fm.csv")
     write_csv(path, ["t", "fm"], [ts, fm])
@@ -164,7 +165,6 @@ def cmd_am(args) -> int:
     cfg = _build_config(args)
     medium = cfg.medium()
     motion = cfg.boundary_motion()
-    validate(motion, medium)
     x = _require(cfg, "x")
     ts = _time_grid(cfg)
     am = am_factor(motion, medium, x, ts)
@@ -179,7 +179,6 @@ def cmd_field(args) -> int:
     cfg = _build_config(args)
     medium = cfg.medium()
     motion = cfg.boundary_motion()
-    beta, delta, eps = validate(motion, medium)
     x = _require(cfg, "x")
     ts = _time_grid(cfg)
     omega = medium.omega
@@ -190,10 +189,8 @@ def cmd_field(args) -> int:
         # x is the offset ahead of the boundary; times are lab times.
         eta = omega * x / medium.c
         tau = omega * ts
-        if np.any(tau < 0.0):
-            raise ConfigError("moving-frame window needs t >= 0")
         values = moving_frame_field(motion, medium, eta, tau)
-        fm = fm_dimensionless(motion.profile, beta, delta, eps, tau)
+        fm = fm_factor(motion, medium, ts)
         reference = np.cos(tau - eta)
     else:
         values, fm = signal_mod.sample_on_grid(cfg.source, motion, medium, x, ts,
@@ -315,7 +312,6 @@ def cmd_spectrum(args) -> int:
     cfg = _build_config(args)
     medium = cfg.medium()
     motion = cfg.boundary_motion()
-    validate(motion, medium)
     x = _require(cfg, "x")
     t_lo = cfg.t_min if cfg.t_min is not None else x / medium.c
     t_hi = _require(cfg, "t_max")

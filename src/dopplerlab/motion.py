@@ -4,9 +4,9 @@ The boundary trajectory is ``X_s(t) = v*t + a*alpha(Omega*t)`` where the
 dimensionless profile ``alpha`` is normalized so that ``alpha(0) = 0`` and
 ``max |alpha'| = 1``.  Three profiles are built in (constant, decelerating,
 oscillatory) and arbitrary user profiles are accepted as explicit
-``(alpha, alpha', alpha'')`` evaluator triples.  A receiver hears the
-outgoing wave only inside the causal cone and ahead of the boundary;
-:func:`receiver_window` is the one guard for that.
+``(alpha, alpha', alpha'')`` evaluator triples.  :func:`time_window` is the
+one guard on the times of every sampled window; :func:`receiver_window`
+adds the causal cone and the boundary rule for a receiver.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class MotionProfile:
         hold.  Only ``alpha'`` is sampled beyond that: ``max |alpha'|`` on
         10^4 uniform points of ``[0, horizon]`` must equal 1 within 1e-6.
         ``alpha`` and ``alpha''`` are trusted to be continuous.  Receiver
-        windows must keep ``Omega*t <= horizon`` (:func:`snap_to_boundary`).
+        windows must keep ``Omega*t <= horizon`` (:func:`time_window`).
         """
         if not (horizon > 0.0):
             raise ArgumentOutOfRange(
@@ -218,37 +218,28 @@ class DimensionlessGroup(NamedTuple):
     eps: float    # Omega / omega
 
 
-def _require_nonnegative_time(t) -> None:
-    if np.any(np.asarray(t) < 0.0):
-        raise ArgumentOutOfRange(f"time must be >= 0, got {t}")
-
-
 def boundary_position(motion: BoundaryMotion, t):
     """``X_s(t) = v*t + a*alpha(Omega*t)``; zero at ``t = 0``."""
-    _require_nonnegative_time(t)
     alpha, _, _ = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float))
     return _match(t, motion.v * np.asarray(t, dtype=float) + motion.a * np.asarray(alpha))
 
 
 def boundary_velocity(motion: BoundaryMotion, t):
     """``dX_s/dt = v + a*Omega*alpha'(Omega*t)``."""
-    _require_nonnegative_time(t)
     _, ap, _ = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float))
     return _match(t, motion.v + motion.a * motion.Omega * np.asarray(ap))
 
 
-def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
-    """The boundary rule: ``max(x, X_s(t))`` for a receiver ahead of the boundary.
+def time_window(motion: BoundaryMotion, medium: MediumParams, ts) -> None:
+    """The time rules of every sampled window, whatever samples it.
 
-    A receiver at most ``BOUNDARY_CLAMP*c/omega`` behind ``X_s(t)`` is
-    snapped onto it; one further behind raises
-    :class:`ObserverInsideBoundary`, naming the worst point and its gap.
-    Before any of that, :class:`ArgumentOutOfRange` rejects a latest time
-    with ``Omega*t`` past a custom profile's validated horizon, or with
-    ``omega*t >= MAX_OMEGA_T``.
-    ``x`` and ``t`` broadcast; the result is a float when both are scalars.
+    :class:`ArgumentOutOfRange` rejects a negative or NaN earliest time, and
+    a latest time with ``Omega*t`` past a custom profile's validated horizon
+    or with ``omega*t >= MAX_OMEGA_T``.  ``ts`` is a scalar or an array.
     """
-    last = float(np.max(t))
+    first, last = float(np.min(ts)), float(np.max(ts))
+    if not first >= 0.0:  # NaN propagates through np.min and fails too
+        raise ArgumentOutOfRange(f"time must be >= 0, got {first}")
     if motion.profile.kind == "custom" and motion.Omega * last > motion.profile.horizon:
         raise ArgumentOutOfRange(
             f"t={last} puts Omega*t={motion.Omega * last:.6g} past the custom "
@@ -257,6 +248,23 @@ def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
         raise ArgumentOutOfRange(
             f"t={last} puts omega*t={medium.omega * last:.6g} at or past "
             f"MAX_OMEGA_T=2**32: float phase resolution is lost")
+
+
+def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
+    """The boundary rule: ``max(x, X_s(t))`` for a receiver ahead of the boundary.
+
+    The times first go through :func:`time_window`.  A receiver at most
+    ``BOUNDARY_CLAMP*c/omega`` behind ``X_s(t)`` is snapped onto it; one
+    further behind raises :class:`ObserverInsideBoundary`, naming the worst
+    point and its gap.  ``x`` and ``t`` broadcast; the result is a float
+    when both are scalars.
+    """
+    time_window(motion, medium, t)
+    return _snap(motion, medium, x, t)
+
+
+def _snap(motion: BoundaryMotion, medium: MediumParams, x, t):
+    """:func:`snap_to_boundary` on times that already passed :func:`time_window`."""
     xa = np.asarray(x, dtype=float)
     xs = np.asarray(boundary_position(motion, t))
     lag = xs - xa
@@ -272,20 +280,19 @@ def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
 def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) -> None:
     """The receiver-window guard: ``x`` hears the outgoing wave at every ``ts``.
 
-    In order: every ``t >= 0`` (:class:`ArgumentOutOfRange`), every
-    ``t >= x/c`` with no slack (:class:`NotYetReached`), then the boundary
-    rule of :func:`snap_to_boundary`.  Callers keep ``x`` itself: the snap
-    moves it by at most ``BOUNDARY_CLAMP*c/omega``, and the ``X_s`` grid is
-    dropped before any solve.
+    In order: the time rules of :func:`time_window`, every ``t >= x/c``
+    with no slack (:class:`NotYetReached`), then the boundary rule of
+    :func:`snap_to_boundary`.  Callers keep ``x`` itself: the snap moves it
+    by at most ``BOUNDARY_CLAMP*c/omega``, and the ``X_s`` grid is dropped
+    before any solve.
     """
+    time_window(motion, medium, ts)
     first = float(np.min(ts))
-    if first < 0.0:
-        raise ArgumentOutOfRange(f"time must be >= 0, got {first}")
     if first < x / medium.c:
         raise NotYetReached(
             f"(x={x}, t={first}) is outside the causal cone: no signal has "
             f"arrived before x/c={x / medium.c}")
-    snap_to_boundary(motion, medium, x, ts)
+    _snap(motion, medium, x, ts)
 
 
 def _profile_speed_sup(profile: MotionProfile, beta: float, delta: float) -> float:
@@ -333,10 +340,9 @@ def validate(motion: BoundaryMotion, medium: MediumParams) -> DimensionlessGroup
             f"eps=Omega/omega={eps:.6g} >= 1: mechanical motion is not slow"
         )
     if eps > EPS_WARN_THRESHOLD:
+        # Issued from this line, not the caller's: the default filter shows it once per eps.
         warnings.warn(
-            f"eps={eps:.6g} > {EPS_WARN_THRESHOLD}: leading-order accuracy degrades",
-            stacklevel=2,
-        )
+            f"eps={eps:.6g} > {EPS_WARN_THRESHOLD}: leading-order accuracy degrades")
     return DimensionlessGroup(beta, delta, eps)
 
 

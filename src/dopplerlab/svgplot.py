@@ -8,7 +8,8 @@ the reproduced plots label their curves.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import os
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,18 @@ def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
 def _fmt(v: float) -> str:
     out = f"{v:.4g}"
     return "0" if out == "-0" else out
+
+
+def write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all, via ``<path>.<pid>.tmp``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def line_plot(path: str, title: str, xlabel: str, ylabel: str,
@@ -116,5 +129,4 @@ def line_plot(path: str, title: str, xlabel: str, ylabel: str,
                          f'font-size="12">{lab}</text>')
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, ["\n".join(parts) + "\n"])

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -160,11 +161,14 @@ class TestValidationGate:
         assert "error: BAD_CONFIG:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["oracle", "asymptotic"])
-    def test_time_past_phase_resolution_rejected(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("command", [["field", "--source", "oracle"],
+                                         ["field", "--source", "asymptotic"],
+                                         ["field", "--frame", "moving"], ["fm"]],
+                             ids=["oracle", "asymptotic", "moving", "fm"])
+    def test_time_past_phase_resolution_rejected(self, tmp_path, capsys, command):
         # One ulp of t near 1e17 is 16: the boundary's phase shift rounds away.
         out = tmp_path / "never"
-        code = run(["field", "--source", source, "--profile", "oscillatory",
+        code = run([*command, "--profile", "oscillatory",
                     "--delta", "0.2", "--eps", "0.1", "--x", "5",
                     "--t-min", "1e17", "--t-max", "2e17", "--out", str(out)])
         assert code == 2
@@ -178,6 +182,21 @@ class TestValidationGate:
                     "--delta", "0", "--eps", "0.1", "--t-min", "0",
                     "--t-max", "10", "--out", str(blocker)])
         assert code == 4
+
+
+class TestEpsWarning:
+    @pytest.mark.parametrize("command", [["fm"], ["am"], ["field"],
+                                         ["field", "--frame", "moving"], ["spectrum"]],
+                             ids=["fm", "am", "field-lab", "field-moving", "spectrum"])
+    def test_printed_once(self, out_dir, command):
+        with warnings.catch_warnings(record=True) as caught:
+            # The filter a plain command line runs with: one print per location.
+            warnings.simplefilter("default")
+            assert run([*command, "--profile", "oscillatory", "--beta", "0",
+                        "--delta", "0.1", "--eps", "0.5", "--x", "1",
+                        "--t-min", "1", "--t-max", "20"]) == 0
+        assert [str(w.message) for w in caught] == [
+            "eps=0.5 > 0.3: leading-order accuracy degrades"]
 
 
 class TestCompare:

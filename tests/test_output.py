@@ -1,5 +1,5 @@
 """CSV and SVG writers: byte parity with the per-cell and per-point code
-that the block formatters replaced."""
+that the block formatters replaced, and no partial file on a failure."""
 
 import re
 from pathlib import Path
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dopplerlab.cli as cli_mod
+import dopplerlab.svgplot as svgplot_mod
 from dopplerlab.cli import CSV_BLOCK, main, write_csv
 from dopplerlab.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, line_plot
 
@@ -109,3 +110,21 @@ class TestLinePlot:
         path = tmp_path / "flat.svg"
         line_plot(str(path), "t", "x", "y", xdata, series)
         assert polylines(path) == loop_polylines(xdata, series)
+
+
+class TestNoPartialFile:
+    def test_csv_failing_mid_write(self, tmp_path):
+        # The header fails to format once the output file is open.
+        with pytest.raises(TypeError):
+            write_csv(str(tmp_path / "out.csv"), ["t", None], [np.zeros(3), np.zeros(3)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_svg_failing_rename(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(svgplot_mod.os, "replace", fail)
+        with pytest.raises(OSError):
+            line_plot(str(tmp_path / "out.svg"), "t", "x", "y", [0.0, 1.0],
+                      [("a", [0.0, 1.0], "solid")])
+        assert list(tmp_path.iterdir()) == []

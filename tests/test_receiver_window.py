@@ -1,22 +1,26 @@
-"""One receiver-window guard behind every entry point that samples a receiver.
+"""One window guard behind every entry point that samples a time window.
 
 The boundary moves at half the wave speed (``X_s(t) = t/2``, ``c = 1``).
 Each case is a window, and the time that pointwise entry points use.
-Entry points that check the causal cone reject windows before arrival with
+Every entry point applies the time rules of ``motion.time_window`` first:
+it rejects a window that starts before ``t = 0``, one that ends at
+``omega*t >= MAX_OMEGA_T`` and, for a custom profile, one that ends past
+its validated horizon in ``Omega*t``, with ``ARG_OUT_OF_RANGE``
+(``exact_field`` returns 0 before ``t = 0``, as outside the cone).  Entry
+points that check the causal cone reject windows before arrival with
 ``NOT_YET_REACHED``; ``exact_field`` returns 0 there instead, and the AM
-factor has no cone at all.  Every entry point snaps a receiver within
-``BOUNDARY_CLAMP*c/omega`` behind the boundary onto it, and rejects one
-further behind with ``INSIDE_BOUNDARY``.  Every entry point also rejects a
-window that ends at ``omega*t >= MAX_OMEGA_T`` and, for a custom profile,
-one that ends past its validated horizon in ``Omega*t``, with
-``ARG_OUT_OF_RANGE``.
+factor has no cone at all.  Those entry points snap a receiver within
+``BOUNDARY_CLAMP*c/omega`` behind the boundary onto it, and reject one
+further behind with ``INSIDE_BOUNDARY``.  The FM factor and the
+moving-frame field (where ``x`` is the offset ahead of the boundary) have
+only the time rules.
 """
 
 import math
 
 import pytest
 
-from dopplerlab.asymptotics import am_factor
+from dopplerlab.asymptotics import am_factor, fm_factor, moving_frame_field
 from dopplerlab.cli import main
 from dopplerlab.errors import DopplerLabError
 from dopplerlab.motion import MAX_OMEGA_T, MediumParams, MotionProfile
@@ -45,13 +49,18 @@ CASES = {
     "just-before-arrival": (5000.0, 5000.0 - 4e-12, 5004.0 - 4e-12, 5000.0 - 4e-12),
     # Ahead of the boundary and inside the cone, but ends at omega*t = 2**32.
     "phase-resolution": (3e9, MAX_OMEGA_T - 8.0, MAX_OMEGA_T, MAX_OMEGA_T),
+    # Starts before the boundary does.
+    "negative-start": (1.0, -1.0, 4.0, -1.0),
 }
 
 CONE = {"roundoff-behind": "ok", "overtaken": "INSIDE_BOUNDARY",
         "before-arrival": "NOT_YET_REACHED", "just-before-arrival": "NOT_YET_REACHED",
-        "phase-resolution": "ARG_OUT_OF_RANGE"}
-ZERO_OUTSIDE_CONE = {**CONE, "before-arrival": "zero", "just-before-arrival": "zero"}
+        "phase-resolution": "ARG_OUT_OF_RANGE", "negative-start": "ARG_OUT_OF_RANGE"}
+ZERO_OUTSIDE_CONE = {**CONE, "before-arrival": "zero", "just-before-arrival": "zero",
+                     "negative-start": "zero"}
 NO_CONE = {**CONE, "before-arrival": "ok", "just-before-arrival": "ok"}
+TIME_ONLY = {**{case: "ok" for case in CASES},
+             "phase-resolution": "ARG_OUT_OF_RANGE", "negative-start": "ARG_OUT_OF_RANGE"}
 
 
 #: name -> ((x, t_min, t_max, t), expected) on CUSTOM, for every API entry point.
@@ -111,16 +120,31 @@ def _compare_fields(motion, x, t_min, t_max, t):
     return "ok"
 
 
+def _fm_factor(motion, x, t_min, t_max, t):
+    fm_factor(motion, MEDIUM, [t_min, t, t_max])
+    return "ok"
+
+
+def _moving_frame_field(motion, x, t_min, t_max, t):
+    # omega = c = 1: eta is x and tau is t.
+    moving_frame_field(motion, MEDIUM, x, [t_min, t, t_max])
+    return "ok"
+
+
 ENTRY_POINTS = {
     "retarded_time": (_api(_retarded_time), CONE),
     "exact_field": (_api(_exact_field), ZERO_OUTSIDE_CONE),
     "am_factor": (_api(_am_factor), NO_CONE),
     "compare_fields": (_api(_compare_fields), CONE),
+    "fm_factor": (_api(_fm_factor), TIME_ONLY),
+    "moving_frame_field": (_api(_moving_frame_field), TIME_ONLY),
     "sample_receiver-asymptotic": (_api(_sample("asymptotic")), CONE),
     "sample_receiver-oracle": (_api(_sample("oracle")), CONE),
     "cli-field-lab-asymptotic": (_cli("field", "--source", "asymptotic"), CONE),
     "cli-field-lab-oracle": (_cli("field", "--source", "oracle"), CONE),
     "cli-am": (_cli("am"), NO_CONE),
+    "cli-fm": (_cli("fm"), TIME_ONLY),
+    "cli-field-moving": (_cli("field", "--frame", "moving"), TIME_ONLY),
 }
 
 
@@ -131,9 +155,20 @@ def test_receiver_window_guard(entry, case, tmp_path, capsys):
     assert run(MOTION, CASES[case], tmp_path / "out", capsys) == expected[case]
 
 
+API_ENTRY_POINTS = [e for e in ENTRY_POINTS if not e.startswith("cli-")]
+
+
 @pytest.mark.parametrize("case", HORIZON_CASES)
-@pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS if not e.startswith("cli-")])
+@pytest.mark.parametrize("entry", API_ENTRY_POINTS)
 def test_custom_horizon_guard(entry, case, tmp_path, capsys):
     run, _ = ENTRY_POINTS[entry]
     window, expected = HORIZON_CASES[case]
     assert run(CUSTOM, window, tmp_path / "out", capsys) == expected
+
+
+@pytest.mark.parametrize("entry", API_ENTRY_POINTS)
+def test_nan_time_rejected(entry, tmp_path, capsys):
+    # NaN fails t >= 0.  The CLI rejects non-finite flags before any guard.
+    run, _ = ENTRY_POINTS[entry]
+    window = (6.0, 7.0, math.nan, math.nan)
+    assert run(MOTION, window, tmp_path / "out", capsys) == "ARG_OUT_OF_RANGE"
