@@ -20,6 +20,7 @@ from .motion import (
     MediumParams,
     MotionProfile,
     _match,
+    before_arrival,
     snap_to_boundary,
     time_window,
     validate,
@@ -74,18 +75,19 @@ def wavenumber(beta_tilde):
 
 
 # ---------------------------------------------------------------------------
-# Kinematics on one time grid.
-#
-# ``_kinematics`` is the one profile evaluation at the slow time Omega*t;
-# FM, the lab phase and its rate, the slow phase shift and the AM factor's
-# ``alpha`` are all derived from its result, so a caller that needs several
-# of them on one grid evaluates the profile there once.
+# Kinematics on one time grid: one profile evaluation at Omega*t feeds FM,
+# AM, the lab phase and its rate.
 # ---------------------------------------------------------------------------
+
+def _fm(beta, delta, ap):
+    """FM factor ``1 / (1 - beta - delta*alpha')``."""
+    return 1.0 / (1.0 - beta - delta * ap)
+
 
 def _kinematics(profile: MotionProfile, beta, delta, slow_t):
     """``(alpha, alpha', alpha'', FM)`` at slow time ``slow_t = Omega*t``."""
     alpha, ap, app = (np.asarray(v) for v in profile.eval(slow_t))
-    return alpha, ap, app, 1.0 / (1.0 - beta - delta * ap)
+    return alpha, ap, app, _fm(beta, delta, ap)
 
 
 def _am(profile: MotionProfile, beta, delta, eps, omega_x_c, slow_t, alpha):
@@ -101,22 +103,31 @@ def _phase_shift(delta, eps, omega_t, alpha, ap, fm):
     return fm * (delta * ap * omega_t - (delta / eps) * alpha)
 
 
-def _phase_bracket(motion: BoundaryMotion, medium: MediumParams, delta, x, t, alpha, ap,
-                   include_phase_shift: bool):
-    """``t - x/c - shift(t)``: the lab phase is ``FM * omega`` times this."""
-    bracket = t - np.asarray(x, dtype=float) / medium.c
+def _lab_field(motion: BoundaryMotion, medium: MediumParams, group, x, t,
+               include_phase_shift: bool):
+    """``(phase, am, fm, rate)`` of the field ``am*exp(i*phase)`` at ``x`` over ``t``.
+
+    ``phase = FM*omega*[t - x/c - shift(t)]``, the slow shift
+    ``delta*alpha'*t - (delta/Omega)*alpha`` zeroed unless the flag is set;
+    ``rate`` is its analytic time derivative.  No checks.  AM is evaluated
+    while only the one profile evaluation is alive, so grids peak no higher
+    than the solver does.
+    """
+    beta, delta, eps = group
+    omega, Omega = medium.omega, motion.Omega
+    t = np.asarray(t, dtype=float)
+    slow_t = Omega * t
+    alpha, ap, app = (np.asarray(v) for v in motion.profile.eval(slow_t))
+    am = _am(motion.profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha)
+    del slow_t
+    fm = _fm(beta, delta, ap)
+    bracket = t - x / medium.c
     if include_phase_shift:
-        bracket = bracket - (delta * ap * t - (delta / motion.Omega) * alpha)
-    return bracket
-
-
-def _phase_rate(motion: BoundaryMotion, medium: MediumParams, delta, t, app, fm, bracket,
-                include_phase_shift: bool):
-    """Analytic time derivative of the lab phase ``FM * omega * bracket``."""
-    omega = medium.omega
+        bracket = bracket - (delta * ap * t - (delta / Omega) * alpha)
+    del alpha, ap
     anchor = t if include_phase_shift else 0.0
-    df = delta * motion.Omega * app
-    return omega * fm + omega * df * fm * (fm * bracket - anchor)
+    rate = omega * fm + omega * (delta * Omega * app) * fm * (fm * bracket - anchor)
+    return fm * omega * bracket, am, fm, rate
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +192,11 @@ def lab_phase(motion: BoundaryMotion, medium: MediumParams, x, t,
 
     ``FM(t) * omega * [t - x/c - shift(t)]`` with the slow shift
     ``delta*alpha'(Omega t)*t - (delta/Omega)*alpha(Omega t)`` included or
-    zeroed according to the flag.
+    zeroed according to the flag.  The rules of :func:`am_factor` apply.
     """
-    beta, delta, _ = validate(motion, medium)
-    tt = np.asarray(t, dtype=float)
-    alpha, ap, _, fm = _kinematics(motion.profile, beta, delta, motion.Omega * tt)
-    bracket = _phase_bracket(motion, medium, delta, x, tt, alpha, ap, include_phase_shift)
-    return _match(t, fm * medium.omega * bracket)
+    group = validate(motion, medium)
+    x = snap_to_boundary(motion, medium, x, t)
+    return _match(t, _lab_field(motion, medium, group, x, t, include_phase_shift)[0])
 
 
 def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
@@ -195,41 +204,33 @@ def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
     """Analytic time derivative of :func:`lab_phase` (instantaneous frequency).
 
     With the shift included this equals ``omega*FM(t)`` exactly on the
-    boundary ``x = X_s(t)``.
+    boundary ``x = X_s(t)``.  The rules of :func:`am_factor` apply.
     """
-    beta, delta, _ = validate(motion, medium)
-    tt = np.asarray(t, dtype=float)
-    alpha, ap, app, fm = _kinematics(motion.profile, beta, delta, motion.Omega * tt)
-    bracket = _phase_bracket(motion, medium, delta, x, tt, alpha, ap, include_phase_shift)
-    return _match(t, _phase_rate(motion, medium, delta, tt, app, fm, bracket,
-                                 include_phase_shift))
+    group = validate(motion, medium)
+    x = snap_to_boundary(motion, medium, x, t)
+    return _match(t, _lab_field(motion, medium, group, x, t, include_phase_shift)[3])
 
 
 def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,
                         include_phase_shift: bool = False) -> FieldSample:
     """Leading-order complex field at one event ``(x, t)``.
 
-    Returns 0 outside the causal region ``x <= c*t`` (the wavefront itself
-    is attached to the field) and raises :class:`ObserverInsideBoundary`
-    for points behind the boundary.  By default the slowly varying phase
-    shift is left out, matching the published plotting convention; pass
+    Returns 0 outside the causal cone of
+    :func:`~dopplerlab.motion.before_arrival` (the wavefront itself is
+    attached to the field) and raises :class:`ObserverInsideBoundary` for
+    points behind the boundary.  By default the slowly varying phase shift
+    is left out, matching the published plotting convention; pass
     ``include_phase_shift=True`` for the full solution.
     """
-    beta, delta, eps = validate(motion, medium)
-    x = float(x)
-    t = float(t)
-    if t < 0.0 or x > medium.c * t:
+    group = validate(motion, medium)
+    x, t = float(x), float(t)
+    if before_arrival(medium, x, t):
         return FieldSample(x=x, t=t, value=0.0j, factors=None)
     x = snap_to_boundary(motion, medium, x, t)
-    omega = medium.omega
-    slow_t = motion.Omega * t
-    alpha, ap, _, fm = _kinematics(motion.profile, beta, delta, slow_t)
-    am = float(_am(motion.profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha))
-    phase = fm * omega * _phase_bracket(motion, medium, delta, x, t, alpha, ap,
-                                        include_phase_shift)
-    factors = ModulationFactors(
-        fm=float(fm), am=am,
-        phase_shift=float(_phase_shift(delta, eps, omega * t, alpha, ap, fm)))
+    phase, am, fm, _ = _lab_field(motion, medium, group, x, t, include_phase_shift)
+    alpha, ap, _, _ = _kinematics(motion.profile, group.beta, group.delta, motion.Omega * t)
+    shift = _phase_shift(group.delta, group.eps, medium.omega * t, alpha, ap, fm)
+    factors = ModulationFactors(fm=float(fm), am=float(am), phase_shift=float(shift))
     return FieldSample(x=x, t=t, value=complex(am * np.exp(1j * phase)), factors=factors)
 
 
@@ -248,7 +249,7 @@ def moving_frame_field(motion: BoundaryMotion, medium: MediumParams,
     eta = np.asarray(eta, dtype=float)
     tau = np.asarray(tau, dtype=float)
     time_window(motion, medium, tau / medium.omega)
-    if np.any(eta < 0.0):
+    if not np.all(eta >= 0.0):  # a NaN distance fails too
         raise ArgumentOutOfRange("moving-frame distance eta must be >= 0")
     st = eps * tau
     alpha, ap, _ = motion.profile.eval(st)

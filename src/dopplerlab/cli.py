@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``fm``, ``am``, ``field``, ``compare``, ``figure``,
-``spectrum``, ``appendix-check``.  Parameters come from an optional JSON
-config (see :mod:`dopplerlab.config`) with command-line flags overriding
-individual fields.  All numeric output is CSV with 17 significant digits
-and LF line endings so repeated runs are byte-identical; plots are
-self-contained SVG.  Exit codes: 0 success, 2 validation error,
-3 numerical error, 4 I/O error.
+``spectrum``, ``appendix-check``.  Parameters (``figure``'s are fixed)
+come from an optional JSON config (see :mod:`dopplerlab.config`) with
+command-line flags overriding individual fields.  All numeric output is CSV
+with 17 significant digits and LF line endings so repeated runs are
+byte-identical; plots are self-contained SVG.  Exit codes: 0 success,
+2 validation error, 3 numerical error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="reproduce a published plot (1-4)")
     p.add_argument("id", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--config", help="JSON config file (unused; parameters are baked)")
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
     p.set_defaults(handler=cmd_figure)
 

@@ -266,6 +266,8 @@ def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
 def _snap(motion: BoundaryMotion, medium: MediumParams, x, t):
     """:func:`snap_to_boundary` on times that already passed :func:`time_window`."""
     xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ArgumentOutOfRange(f"receiver position must be finite, got {x}")
     xs = np.asarray(boundary_position(motion, t))
     lag = xs - xa
     worst = int(np.argmax(lag))
@@ -277,18 +279,23 @@ def _snap(motion: BoundaryMotion, medium: MediumParams, x, t):
     return _match(lag, np.maximum(xa, xs))
 
 
+def before_arrival(medium: MediumParams, x: float, t: float) -> bool:
+    """The causal cone, ``t < 0`` or ``t < x/c`` with no slack; a NaN ``x`` passes."""
+    return t < 0.0 or t < x / medium.c
+
+
 def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) -> None:
     """The receiver-window guard: ``x`` hears the outgoing wave at every ``ts``.
 
-    In order: the time rules of :func:`time_window`, every ``t >= x/c``
-    with no slack (:class:`NotYetReached`), then the boundary rule of
-    :func:`snap_to_boundary`.  Callers keep ``x`` itself: the snap moves it
-    by at most ``BOUNDARY_CLAMP*c/omega``, and the ``X_s`` grid is dropped
-    before any solve.
+    In order: the time rules of :func:`time_window`, the causal cone of
+    :func:`before_arrival` (:class:`NotYetReached`), then the boundary rule
+    of :func:`snap_to_boundary`.  Callers keep ``x`` itself: the snap moves
+    it by at most ``BOUNDARY_CLAMP*c/omega``, and the ``X_s`` grid is
+    dropped before any solve.
     """
     time_window(motion, medium, ts)
     first = float(np.min(ts))
-    if first < x / medium.c:
+    if before_arrival(medium, x, first):
         raise NotYetReached(
             f"(x={x}, t={first}) is outside the causal cone: no signal has "
             f"arrived before x/c={x / medium.c}")
@@ -317,15 +324,17 @@ def _profile_speed_sup(profile: MotionProfile, beta: float, delta: float) -> flo
 def validate(motion: BoundaryMotion, medium: MediumParams) -> DimensionlessGroup:
     """Check subsonic validity and return ``(beta, delta, eps)``.
 
-    Raises :class:`SupersonicMotion` when ``delta >= 1 - beta`` (necessary
-    condition) or when the instantaneous boundary speed reaches the wave
-    speed; raises :class:`ArgumentOutOfRange` when ``eps >= 1``.  Emits a
-    warning when ``eps > 0.3`` (scale separation becoming marginal).
+    Raises :class:`ArgumentOutOfRange` for a non-finite ``beta`` or ``delta``
+    or ``eps >= 1``, and :class:`SupersonicMotion` when ``delta >= 1 - beta``
+    or the instantaneous boundary speed reaches the wave speed.  Warns when
+    ``eps > 0.3`` (scale separation becoming marginal).
     """
     beta = motion.v / medium.c
     delta = motion.a * motion.Omega / medium.c
     eps = motion.Omega / medium.omega
 
+    if not (np.isfinite(beta) and np.isfinite(delta)):
+        raise ArgumentOutOfRange(f"beta={beta} and delta={delta} must be finite")
     if delta >= 1.0 - beta:
         raise SupersonicMotion(
             f"delta={delta:.6g} >= 1-beta={1.0 - beta:.6g}: boundary outruns the wave"

@@ -23,9 +23,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .asymptotics import _am, _kinematics, _phase_bracket, _phase_rate
+from .asymptotics import _kinematics, _lab_field
 from .errors import ArgumentOutOfRange, NoConvergence
-from .motion import BoundaryMotion, MediumParams, receiver_window, validate
+from .motion import BoundaryMotion, MediumParams, before_arrival, receiver_window, validate
 
 #: Default solver tolerance scale: |residual| <= 1e-12 / omega keeps the
 #: oracle phase accurate to 1e-12 radians.
@@ -108,15 +108,13 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     return te, resid, iters
 
 
-def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float,
-                   ts, tol: float = None):
-    """:func:`_solve_retarded` that raises :class:`NoConvergence` on a stall."""
-    if tol is None:
-        tol = DEFAULT_TOL_SCALE / medium.omega
+def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float, ts):
+    """:func:`_solve_retarded` to ``1e-12/omega`` that raises :class:`NoConvergence` on a stall."""
+    tol = DEFAULT_TOL_SCALE / medium.omega
     ts = np.asarray(ts, dtype=float)
     te, resid, iters = _solve_retarded(motion, medium, x, ts, tol)
     worst = int(np.argmax(resid))
-    if resid[worst] > tol:
+    if not resid[worst] <= tol:  # a NaN residual stalls too
         raise NoConvergence(
             f"retarded-time solve stalled at residual {resid[worst]:.3g} "
             f"(> {tol:.3g}) after {iters[worst]} iterations for "
@@ -125,24 +123,31 @@ def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float,
     return te, resid, iters
 
 
+def _exact_field(motion: BoundaryMotion, medium: MediumParams, group, x: float, ts,
+                 with_fm: bool):
+    """``(phase, fm)`` of the exact field ``exp(i*phase)`` at ``x`` over a guarded grid.
+
+    ``phase = omega*t_e``; ``fm`` is the FM factor at ``t_e`` (the exact
+    received frequency over ``omega``), or None unless ``with_fm`` is set.
+    """
+    te = _solve_checked(motion, medium, x, ts)[0]
+    fm = (_kinematics(motion.profile, group.beta, group.delta, motion.Omega * te)[3]
+          if with_fm else None)
+    return medium.omega * te, fm
+
+
 def retarded_time(motion: BoundaryMotion, medium: MediumParams, x: float,
-                  t: float, tol: float = None) -> RetardedTimeResult:
+                  t: float) -> RetardedTimeResult:
     """Solve ``t_e - X_s(t_e)/c = t - x/c`` for the emission time.
 
     Safeguarded Newton iteration (see the module docstring) to
-    ``|residual| <= tol`` (default ``1e-12 / omega``).
+    ``|residual| <= 1e-12 / omega``.
     """
     validate(motion, medium)
     receiver_window(motion, medium, x, [t])
-    te, resid, iters = _solve_checked(motion, medium, x, [t], tol)
+    te, resid, iters = _solve_checked(motion, medium, x, [t])
     return RetardedTimeResult(t_e=float(te[0]), residual=float(resid[0]),
                               iterations=int(iters[0]))
-
-
-def _retarded_times_grid(motion: BoundaryMotion, medium: MediumParams, x: float,
-                         ts: np.ndarray, tol: float = None) -> np.ndarray:
-    """Vectorized emission times for a validated in-cone, in-domain grid."""
-    return _solve_checked(motion, medium, x, ts, tol)[0]
 
 
 def exact_field(motion: BoundaryMotion, medium: MediumParams, x: float,
@@ -151,11 +156,12 @@ def exact_field(motion: BoundaryMotion, medium: MediumParams, x: float,
 
     The exact outgoing field has unit modulus wherever it is nonzero.
     """
-    validate(motion, medium)
-    if t < 0.0 or t - x / medium.c < 0.0:
+    group = validate(motion, medium)
+    if before_arrival(medium, x, t):
         return 0.0j
-    res = retarded_time(motion, medium, x, t)
-    return complex(np.exp(1j * medium.omega * res.t_e))
+    receiver_window(motion, medium, x, [t])
+    phase, _ = _exact_field(motion, medium, group, x, [t], False)
+    return complex(np.exp(1j * phase)[0])
 
 
 def exact_instantaneous_frequency(motion: BoundaryMotion, medium: MediumParams,
@@ -166,10 +172,10 @@ def exact_instantaneous_frequency(motion: BoundaryMotion, medium: MediumParams,
     boundary itself (``x = X_s(t)``, so ``t_e = t``) this is exactly
     ``omega * fm_factor(t)``.
     """
-    beta, delta, _ = validate(motion, medium)
-    res = retarded_time(motion, medium, x, t)
-    return medium.omega * float(_kinematics(motion.profile, beta, delta,
-                                            motion.Omega * res.t_e)[3])
+    group = validate(motion, medium)
+    receiver_window(motion, medium, x, [t])
+    _, fm = _exact_field(motion, medium, group, x, [t], True)
+    return medium.omega * float(fm[0])
 
 
 def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
@@ -184,7 +190,7 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     noise.  The whole window must lie inside the causal cone and ahead of
     the boundary.
     """
-    beta, delta, eps = validate(motion, medium)
+    group = validate(motion, medium)
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
     if not (t_hi > t_lo):
         raise ArgumentOutOfRange(f"empty comparison window {t_window}")
@@ -193,29 +199,17 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     ts = np.linspace(t_lo, t_hi, int(n_samples))
     receiver_window(motion, medium, x, ts)
 
-    # The exact side goes first, so the emission times are dropped before
-    # the asymptotic side builds its kinematics: peak memory stays at the
+    # The exact side goes first, so its emission times are dropped before
+    # the asymptotic side evaluates the profile: peak memory stays at the
     # solver's.
-    omega, profile = medium.omega, motion.profile
-    te = _retarded_times_grid(motion, medium, x, ts)
-    phase_exact = omega * te
-    freq_exact = omega * _kinematics(profile, beta, delta, motion.Omega * te)[3]
-    del te
-
-    # The asymptotic side: one profile evaluation on the grid feeds the
-    # phase, the AM factor (the modulus of the sampled field) and the phase
-    # rate, each array dropped once its last use is done.
-    slow_t = motion.Omega * ts
-    alpha, ap, app, fm = _kinematics(profile, beta, delta, slow_t)
-    bracket = _phase_bracket(motion, medium, delta, x, ts, alpha, ap, include_phase_shift)
-    del ap
-    max_phase = float(np.max(np.abs(fm * omega * bracket - phase_exact)))
-    del phase_exact
-    am = _am(profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha)
-    del slow_t, alpha
+    phase_exact, fm_exact = _exact_field(motion, medium, group, x, ts, True)
+    freq_exact = medium.omega * fm_exact
+    del fm_exact
+    phase, am, fm, freq_asym = _lab_field(motion, medium, group, x, ts, include_phase_shift)
+    max_phase = float(np.max(np.abs(phase - phase_exact)))
+    del phase, phase_exact, fm
     max_modulus = float(np.max(np.abs(np.abs(am) - 1.0)))
     del am
-    freq_asym = _phase_rate(motion, medium, delta, ts, app, fm, bracket, include_phase_shift)
     max_freq = float(np.max(np.abs(freq_asym - freq_exact) / freq_exact))
 
     return ComparisonReport(max_modulus_error=max_modulus,

@@ -14,10 +14,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .asymptotics import _am, _kinematics, _phase_bracket
 from .errors import AliasingSuspected, ArgumentOutOfRange
 from .motion import BoundaryMotion, MediumParams, receiver_window, validate
-from .oracle import _retarded_times_grid
+# oracle holds both sources' field builders (the asymptotic one it compares against).
+from .oracle import _exact_field, _lab_field
 
 SOURCES = ("asymptotic", "oracle")
 WINDOWS = ("rectangular", "hann")
@@ -87,19 +87,13 @@ def sample_on_grid(source: str, motion: BoundaryMotion, medium: MediumParams, x:
     """
     if source not in SOURCES:
         raise ArgumentOutOfRange(f"source must be one of {SOURCES}, got {source!r}")
-    beta, delta, eps = validate(motion, medium)
+    group = validate(motion, medium)
     ts = np.asarray(ts, dtype=float)
     receiver_window(motion, medium, x, ts)
-    omega, profile = medium.omega, motion.profile
     if source == "oracle":
-        te = _retarded_times_grid(motion, medium, x, ts)
-        fm = _kinematics(profile, beta, delta, motion.Omega * te)[3] if with_fm else None
-        return np.exp(1j * omega * te), fm
-    slow_t = motion.Omega * ts
-    alpha, ap, _, fm = _kinematics(profile, beta, delta, slow_t)
-    am = _am(profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha)
-    phase = fm * omega * _phase_bracket(motion, medium, delta, x, ts, alpha, ap,
-                                        include_phase_shift)
+        phase, fm = _exact_field(motion, medium, group, x, ts, with_fm)
+        return np.exp(1j * phase), fm
+    phase, am, fm, _ = _lab_field(motion, medium, group, x, ts, include_phase_shift)
     return am * np.exp(1j * phase), fm
 
 

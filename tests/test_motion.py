@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,15 @@ class TestValidate:
         with pytest.raises(ArgumentOutOfRange):
             validate(make_motion("oscillatory", beta=0.0, delta=0.2, eps=1.5),
                      medium)
+
+    @pytest.mark.parametrize("name,value", [("v", math.nan), ("a", math.nan),
+                                            ("a", -math.inf)])
+    def test_non_finite_motion_rejected(self, name, value, medium):
+        # NaN fails every comparison, and a constant profile never looks at
+        # delta's size, so the subsonic checks alone let these through.
+        m = replace(make_motion("constant", beta=0.1, delta=0.0, eps=0.1), **{name: value})
+        with pytest.raises(ArgumentOutOfRange):
+            validate(m, medium)
 
     def test_moderate_eps_warns(self, medium):
         with pytest.warns(UserWarning):

@@ -85,6 +85,15 @@ class TestRetardedTime:
         with pytest.raises(NoConvergence):
             retarded_time(m, medium, 5.0, 9.0)
 
+    def test_nan_residual_raises(self, medium):
+        # Construction samples only alpha', so an alpha that is NaN past 0
+        # gets through and every residual is NaN: a stall, not a solve.
+        prof = MotionProfile.custom(lambda u: 0.0 if u == 0.0 else math.nan, math.cos,
+                                    lambda u: -math.sin(u), horizon=10.0)
+        m = make_motion(prof, beta=0.0, delta=0.2, eps=0.1)
+        with pytest.raises(NoConvergence):
+            retarded_time(m, medium, 5.0, 9.0)
+
     def test_strictly_increasing_in_reception_time(self, medium):
         m = make_motion("oscillatory", beta=0.1, delta=0.4, eps=0.1)
         ts = np.linspace(21.0, 120.0, 400)
@@ -116,7 +125,7 @@ class TestSolver:
         x = 100.0  # stays ahead of the boundary over the whole window
         ts = np.linspace(x, x + 150.0, 301)
         want = _fixed_point_emission(m, medium, x, ts)
-        grid = oracle_mod._retarded_times_grid(m, medium, x, ts)
+        grid = oracle_mod._solve_checked(m, medium, x, ts)[0]
         assert np.max(np.abs(grid - want)) < 1e-11
         for t, w in zip(ts[::30], want[::30]):
             assert abs(retarded_time(m, medium, x, float(t)).t_e - w) < 1e-11
@@ -139,8 +148,8 @@ class TestSolver:
                                     horizon=60.0)
         twin = make_motion(sine, beta=0.1, delta=0.3, eps=0.1)
         ts = np.linspace(100.0, 600.0, 2000)
-        te_builtin = oracle_mod._retarded_times_grid(builtin, medium, 100.0, ts)
-        te_twin = oracle_mod._retarded_times_grid(twin, medium, 100.0, ts)
+        te_builtin = oracle_mod._solve_checked(builtin, medium, 100.0, ts)[0]
+        te_twin = oracle_mod._solve_checked(twin, medium, 100.0, ts)[0]
         assert np.max(np.abs(te_twin - te_builtin)) <= 1e-12
 
 

@@ -6,12 +6,13 @@ Every entry point applies the time rules of ``motion.time_window`` first:
 it rejects a window that starts before ``t = 0``, one that ends at
 ``omega*t >= MAX_OMEGA_T`` and, for a custom profile, one that ends past
 its validated horizon in ``Omega*t``, with ``ARG_OUT_OF_RANGE``
-(``exact_field`` returns 0 before ``t = 0``, as outside the cone).  Entry
-points that check the causal cone reject windows before arrival with
-``NOT_YET_REACHED``; ``exact_field`` returns 0 there instead, and the AM
-factor has no cone at all.  Those entry points snap a receiver within
-``BOUNDARY_CLAMP*c/omega`` behind the boundary onto it, and reject one
-further behind with ``INSIDE_BOUNDARY``.  The FM factor and the
+(``exact_field`` and ``leading_order_field`` return 0 before ``t = 0``,
+as outside the cone).  Entry points that check the causal cone reject
+windows before arrival with ``NOT_YET_REACHED``; ``exact_field`` and
+``leading_order_field`` return 0 there instead, and the AM factor, the lab
+phase and its rate have no cone at all.  Those entry points snap a
+receiver within ``BOUNDARY_CLAMP*c/omega`` behind the boundary onto it, and
+reject one further behind with ``INSIDE_BOUNDARY``.  The FM factor and the
 moving-frame field (where ``x`` is the offset ahead of the boundary) have
 only the time rules.
 """
@@ -20,11 +21,23 @@ import math
 
 import pytest
 
-from dopplerlab.asymptotics import am_factor, fm_factor, moving_frame_field
+from dopplerlab.asymptotics import (
+    am_factor,
+    fm_factor,
+    lab_phase,
+    lab_phase_rate,
+    leading_order_field,
+    moving_frame_field,
+)
 from dopplerlab.cli import main
 from dopplerlab.errors import DopplerLabError
-from dopplerlab.motion import MAX_OMEGA_T, MediumParams, MotionProfile
-from dopplerlab.oracle import compare_fields, exact_field, retarded_time
+from dopplerlab.motion import MAX_OMEGA_T, BoundaryMotion, MediumParams, MotionProfile
+from dopplerlab.oracle import (
+    compare_fields,
+    exact_field,
+    exact_instantaneous_frequency,
+    retarded_time,
+)
 from dopplerlab.signal import sample_receiver
 
 from conftest import make_motion
@@ -115,6 +128,25 @@ def _am_factor(motion, x, t_min, t_max, t):
     return "ok"
 
 
+def _lab_phase(motion, x, t_min, t_max, t):
+    lab_phase(motion, MEDIUM, x, [t_min, t, t_max], True)
+    return "ok"
+
+
+def _lab_phase_rate(motion, x, t_min, t_max, t):
+    lab_phase_rate(motion, MEDIUM, x, [t_min, t, t_max], True)
+    return "ok"
+
+
+def _leading_order_field(motion, x, t_min, t_max, t):
+    return "zero" if leading_order_field(motion, MEDIUM, x, t).value == 0.0 else "ok"
+
+
+def _exact_instantaneous_frequency(motion, x, t_min, t_max, t):
+    exact_instantaneous_frequency(motion, MEDIUM, x, t)
+    return "ok"
+
+
 def _compare_fields(motion, x, t_min, t_max, t):
     compare_fields(motion, MEDIUM, x, (t_min, t_max), 9)
     return "ok"
@@ -135,6 +167,10 @@ ENTRY_POINTS = {
     "retarded_time": (_api(_retarded_time), CONE),
     "exact_field": (_api(_exact_field), ZERO_OUTSIDE_CONE),
     "am_factor": (_api(_am_factor), NO_CONE),
+    "lab_phase": (_api(_lab_phase), NO_CONE),
+    "lab_phase_rate": (_api(_lab_phase_rate), NO_CONE),
+    "leading_order_field": (_api(_leading_order_field), ZERO_OUTSIDE_CONE),
+    "exact_instantaneous_frequency": (_api(_exact_instantaneous_frequency), CONE),
     "compare_fields": (_api(_compare_fields), CONE),
     "fm_factor": (_api(_fm_factor), TIME_ONLY),
     "moving_frame_field": (_api(_moving_frame_field), TIME_ONLY),
@@ -172,3 +208,28 @@ def test_nan_time_rejected(entry, tmp_path, capsys):
     run, _ = ENTRY_POINTS[entry]
     window = (6.0, 7.0, math.nan, math.nan)
     assert run(MOTION, window, tmp_path / "out", capsys) == "ARG_OUT_OF_RANGE"
+
+
+#: Every API entry point that takes a receiver (``fm_factor`` takes none).
+RECEIVER_ENTRY_POINTS = [e for e in API_ENTRY_POINTS if e != "fm_factor"]
+
+
+@pytest.mark.parametrize("entry", RECEIVER_ENTRY_POINTS)
+def test_nan_receiver_rejected(entry, tmp_path, capsys):
+    # NaN fails every comparison, so the cone and the boundary lag let it
+    # through; the boundary rule (and moving_frame_field's eta >= 0) reject it.
+    run, _ = ENTRY_POINTS[entry]
+    window = (math.nan, 7.0, 10.0, 10.0)
+    assert run(MOTION, window, tmp_path / "out", capsys) == "ARG_OUT_OF_RANGE"
+
+
+def test_wavefront_has_one_verdict():
+    # One ulp inside the front: t >= x/c although x > c*t in floats.  The
+    # scalar fields and the guard all use motion.before_arrival.
+    medium = MediumParams(omega=1.0, c=343.0)
+    motion = BoundaryMotion(v=0.0, a=0.0, Omega=0.1, profile=MotionProfile.constant())
+    x, t = 185878.47734689302, 541.9197590288426
+    assert x > medium.c * t and t >= x / medium.c
+    assert leading_order_field(motion, medium, x, t).value != 0.0
+    assert exact_field(motion, medium, x, t) != 0.0
+    assert retarded_time(motion, medium, x, t).t_e == 0.0

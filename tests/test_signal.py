@@ -12,12 +12,13 @@ from dopplerlab.errors import (
     ObserverInsideBoundary,
 )
 from dopplerlab.motion import boundary_position
-from dopplerlab.oracle import exact_instantaneous_frequency
-from dopplerlab.asymptotics import fm_factor
+from dopplerlab.oracle import exact_field, exact_instantaneous_frequency
+from dopplerlab.asymptotics import fm_factor, leading_order_field
 from dopplerlab.signal import (
     ReceiverSeries,
     instantaneous_frequency,
     parseval_mismatch,
+    sample_on_grid,
     sample_receiver,
     spectrum,
 )
@@ -65,6 +66,21 @@ class TestReceiverSeries:
         m = make_motion("constant", beta=0.5, delta=0.0, eps=0.1)
         with pytest.raises(ObserverInsideBoundary):
             sample_receiver("asymptotic", m, medium, 2.0, 2.0, 0.5, 16)
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("profile,beta,delta", [("oscillatory", 0.1, 0.2),
+                                                    ("decelerating", 0.0, -0.2)])
+    def test_scalar_entry_points_match_grid(self, profile, beta, delta, medium):
+        # Receivers ahead of the boundary (X_s(t) < 3.9) and inside the cone.
+        m = make_motion(profile, beta=beta, delta=delta, eps=0.1)
+        for x, t in ((6.0, 9.0), (10.0, 23.5), (12.0, 40.0)):
+            for shift in (False, True):
+                grid, _ = sample_on_grid("asymptotic", m, medium, x, [t], shift)
+                assert leading_order_field(m, medium, x, t, shift).value == grid[0]
+            grid, fm = sample_on_grid("oracle", m, medium, x, [t], with_fm=True)
+            assert exact_field(m, medium, x, t) == grid[0]
+            assert exact_instantaneous_frequency(m, medium, x, t) == medium.omega * fm[0]
 
 
 class TestInstantaneousFrequency:
