@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import signal as signal_mod
 from .asymptotics import (am_dimensionless, am_factor, fm_dimensionless, fm_factor,
                           moving_frame_field)
 from .characteristics import transport_amplitude
-from .config import RunConfig, load_config
+from .config import SCHEMA, SPECTRUM_WINDOWS, RunConfig, load_config, override
 from .errors import ConfigError, DopplerLabError, IdentityMismatch
 from .motion import MotionProfile, boundary_position, validate
 from .oracle import compare_fields
@@ -83,27 +83,18 @@ def _build_config(args) -> RunConfig:
     """The config file (or defaults), overridden by every flag that was given.
 
     Flags share their names with :class:`RunConfig` fields; ``--eps`` takes
-    a comma list (its first value is ``eps``, the whole list ``eps_list``)
-    and ``--phase-shift on|off`` becomes a bool.  Every float of the result,
-    from a flag or from JSON (which admits ``NaN`` and ``Infinity``), must
-    be finite.
+    a comma list (its first value is ``eps``, the whole list ``eps_list``,
+    so it replaces a config's ``eps_list`` even when it is one value).
+    Every float of the result, from a flag or from JSON (which admits
+    ``NaN`` and ``Infinity``), must be finite.
     """
     cfg = load_config(args.config) if args.config else RunConfig()
-    updates = {}
-    for name in (f.name for f in fields(RunConfig)):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name == "eps":
-            values = _parse_eps(value)
-            updates["eps"] = values[0]
-            if len(values) > 1:
-                updates["eps_list"] = values
-        elif name == "phase_shift":
-            updates[name] = value == "on"
-        else:
-            updates[name] = value
-    cfg = replace(cfg, **updates)
+    updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
+    if "eps" in updates:
+        updates["eps_list"] = _parse_eps(updates["eps"])
+        updates["eps"] = updates["eps_list"][0]
+    cfg = override(cfg, updates)
     for name in (f.name for f in fields(RunConfig)):
         value = getattr(cfg, name)
         for v in value if isinstance(value, list) else [value]:
@@ -122,26 +113,29 @@ def _parse_eps(text: str) -> List[float]:
     return values
 
 
-def _require(cfg: RunConfig, field: str):
+def _require(cfg: RunConfig, field: str, default=None):
     val = getattr(cfg, field)
-    if val is None:
+    if val is None and default is None:
         flag = "--" + field.replace("_", "-")
         raise ConfigError(f"{field} is required for this command (set {flag} or config)")
-    return val
+    return default if val is None else val
 
 
-def _time_grid(cfg: RunConfig) -> np.ndarray:
-    t_lo = _require(cfg, "t_min")
-    t_hi = _require(cfg, "t_max")
+def _window(cfg: RunConfig, t_min: Optional[float] = None,
+            t_max: Optional[float] = None) -> Tuple[float, float, int]:
+    """``(t_min, t_max, samples)`` of the run: the one window rule of every command.
+
+    A bound unset in ``cfg`` takes the command's default given here and is
+    required when there is none; then ``t_max > t_min`` and ``samples >= 2``.
+    Each failure raises :class:`ConfigError` (``BAD_CONFIG``, exit 2).
+    """
+    t_lo = _require(cfg, "t_min", t_min)
+    t_hi = _require(cfg, "t_max", t_max)
     if not (t_hi > t_lo):
         raise ConfigError(f"need t_max > t_min, got [{t_lo}, {t_hi}]")
-    return np.linspace(t_lo, t_hi, _samples(cfg))
-
-
-def _samples(cfg: RunConfig) -> int:
     if cfg.samples < 2:
         raise ConfigError(f"need samples >= 2, got {cfg.samples}")
-    return cfg.samples
+    return t_lo, t_hi, cfg.samples
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +146,7 @@ def cmd_fm(args) -> int:
     cfg = _build_config(args)
     medium = cfg.medium()
     motion = cfg.boundary_motion()
-    ts = _time_grid(cfg)
+    ts = np.linspace(*_window(cfg))
     fm = fm_factor(motion, medium, ts)
     out = _out_dir(args)
     path = os.path.join(out, "fm.csv")
@@ -166,7 +160,7 @@ def cmd_am(args) -> int:
     medium = cfg.medium()
     motion = cfg.boundary_motion()
     x = _require(cfg, "x")
-    ts = _time_grid(cfg)
+    ts = np.linspace(*_window(cfg))
     am = am_factor(motion, medium, x, ts)
     out = _out_dir(args)
     path = os.path.join(out, "am.csv")
@@ -180,7 +174,7 @@ def cmd_field(args) -> int:
     medium = cfg.medium()
     motion = cfg.boundary_motion()
     x = _require(cfg, "x")
-    ts = _time_grid(cfg)
+    ts = np.linspace(*_window(cfg))
     omega = medium.omega
 
     if cfg.frame == "moving":
@@ -217,11 +211,11 @@ def cmd_compare(args) -> int:
     for eps in eps_list:
         motion = replace(cfg, eps=eps).boundary_motion()
         x = slow_x * medium.c / (eps * omega)
-        if cfg.t_min is not None and cfg.t_max is not None:
-            window = (cfg.t_min, cfg.t_max)
-        else:
-            window = (x / medium.c, x / medium.c + 20.0 * 2.0 * np.pi / omega)
-        report = compare_fields(motion, medium, x, window, cfg.samples,
+        # 20 carrier periods from arrival, only when neither bound is set.
+        default = ((x / medium.c, x / medium.c + 20.0 * 2.0 * np.pi / omega)
+                   if cfg.t_min is None and cfg.t_max is None else ())
+        t_lo, t_hi, n = _window(cfg, *default)
+        report = compare_fields(motion, medium, x, (t_lo, t_hi), n,
                                 include_phase_shift=cfg.phase_shift)
         rows.append((eps, report.max_phase_error, report.max_freq_rel_error,
                      report.max_modulus_error))
@@ -313,18 +307,13 @@ def cmd_spectrum(args) -> int:
     medium = cfg.medium()
     motion = cfg.boundary_motion()
     x = _require(cfg, "x")
-    t_lo = cfg.t_min if cfg.t_min is not None else x / medium.c
-    t_hi = _require(cfg, "t_max")
-    if not (t_hi > t_lo):
-        raise ConfigError(f"need t_max > t_min, got [{t_lo}, {t_hi}]")
-    n = _samples(cfg)
+    t_lo, t_hi, n = _window(cfg, t_min=x / medium.c)
     dt = (t_hi - t_lo) / n
     series = signal_mod.sample_receiver(cfg.source, motion, medium, x, t_lo, dt, n,
                                         include_phase_shift=cfg.phase_shift)
     # Aliasing guard: the frequency estimate validates the sampling rate.
     signal_mod.instantaneous_frequency(series)
-    window = "hann" if cfg.window == "hann" else "rectangular"
-    spec = signal_mod.spectrum(series, window)
+    spec = signal_mod.spectrum(series, SPECTRUM_WINDOWS[cfg.window])
 
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
     order = np.argsort(freqs)
@@ -381,8 +370,9 @@ def cmd_appendix_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    flags = SCHEMA["flags"]
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--profile", choices=("constant", "decelerating", "oscillatory"))
+    parser.add_argument("--profile", choices=SCHEMA["motion"]["profile"])
     parser.add_argument("--beta", type=float, help="mean velocity / wave speed")
     parser.add_argument("--delta", type=float, help="acceleration ratio a*Omega/c")
     parser.add_argument("--eps", help="frequency ratio Omega/omega (comma list for compare)")
@@ -391,12 +381,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-min", dest="t_min", type=float)
     parser.add_argument("--t-max", dest="t_max", type=float)
     parser.add_argument("--samples", type=int)
-    parser.add_argument("--phase-shift", dest="phase_shift", choices=("on", "off"),
+    parser.add_argument("--phase-shift", dest="phase_shift", choices=flags["phase_shift"],
                         help="include the slowly varying phase shift (default off)")
-    parser.add_argument("--frame", choices=("lab", "moving"))
-    parser.add_argument("--source", choices=("asymptotic", "oracle"))
-    parser.add_argument("--window", choices=("rect", "hann"),
-                        help="spectral window")
+    parser.add_argument("--frame", choices=flags["frame"])
+    parser.add_argument("--source", choices=flags["source"])
+    parser.add_argument("--window", choices=flags["window"], help="spectral window")
     parser.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
 
 

@@ -4,7 +4,9 @@ The JSON document groups dimensional inputs the way experiments are
 described (medium constants, trajectory numbers, receiver placement);
 internally everything is reduced to the dimensionless group
 ``(beta, delta, eps)`` plus the medium scales, which is what every
-computation consumes.  Unknown keys anywhere in the document are errors:
+computation consumes.  :data:`SCHEMA` is the one statement of which keys
+each section takes and which values each key accepts; the CLI takes its
+flag choices from it.  Unknown keys anywhere in the document are errors:
 a config that silently ignores a typo is worse than one that refuses it.
 """
 
@@ -16,11 +18,26 @@ from typing import List, Optional
 
 from .errors import ConfigError
 from .motion import BoundaryMotion, MediumParams, MotionProfile
+from .signal import SOURCES, WINDOWS
 
 PROFILES = ("constant", "decelerating", "oscillatory")
 FRAMES = ("lab", "moving")
-SOURCES = ("asymptotic", "oracle")
-SPECTRUM_WINDOWS = ("rect", "hann")
+ON_OFF = ("on", "off")
+#: Spectral window choice -> the name :func:`dopplerlab.signal.spectrum` takes.
+SPECTRUM_WINDOWS = dict(zip(("rect", "hann"), WINDOWS))
+
+#: Section -> key -> accepted values: ``float`` (any JSON number), ``int``,
+#: ``list`` (a non-empty list of numbers) or a tuple of choices.  Every key
+#: but ``motion``'s ``v``, ``a`` and ``Omega`` is a :class:`RunConfig` field.
+SCHEMA = {
+    "medium": {"omega": float, "c": float},
+    "motion": {"v": float, "a": float, "Omega": float, "profile": PROFILES},
+    "receiver": {"x": float},
+    "window": {"t_min": float, "t_max": float, "samples": int},
+    "flags": {"phase_shift": ON_OFF, "frame": FRAMES, "source": SOURCES,
+              "window": tuple(SPECTRUM_WINDOWS)},
+    "compare": {"eps_list": list},
+}
 
 
 @dataclass(frozen=True)
@@ -65,45 +82,50 @@ class RunConfig:
         return BoundaryMotion(v=self.beta * self.c, a=a, Omega=Omega, profile=profile)
 
 
-def _expect_table(obj, name):
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+#: How each :data:`SCHEMA` kind other than a choice tuple is tested, named
+#: and converted.  A null ``list`` leaves its field unset.
+_KINDS = {
+    float: (_is_number, "a number", float),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    list: (lambda v: v is None or (isinstance(v, list) and v and all(map(_is_number, v))),
+           "a non-empty number list", lambda v: v and [float(e) for e in v]),
+}
+
+
+def _table(obj, where: str, schema: dict) -> dict:
+    """``obj`` itself once it is an object whose keys all appear in ``schema``."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
+        raise ConfigError(f"config section {where!r} must be an object")
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(schema)}")
     return obj
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+def _value(where: str, val, kind):
+    """``val`` checked against its :data:`SCHEMA` kind, as a Python value."""
+    if isinstance(kind, tuple):
+        ok, expected, convert = val in kind, f"one of {kind}", None
+    else:
+        test, expected, convert = _KINDS[kind]
+        ok = test(val)
+    if not ok:
+        raise ConfigError(f"{where} must be {expected}, got {val!r}")
+    try:
+        return convert(val) if convert else val
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise ConfigError(f"{where} must be a finite number: {exc}") from exc
 
 
-def _number(obj: dict, key: str, where: str, required=False, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
-    return float(val)
-
-
-def _integer(obj: dict, key: str, where: str, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {val!r}")
-    return int(val)
-
-
-def _choice(obj: dict, key: str, where: str, choices, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if val not in choices:
-        raise ConfigError(f"{where}.{key} must be one of {choices}, got {val!r}")
-    return val
+def override(cfg: RunConfig, values: dict) -> RunConfig:
+    """``cfg`` with ``values``, keyed by field and spelled as in JSON or a flag."""
+    if "phase_shift" in values:
+        values = dict(values, phase_shift=values["phase_shift"] == "on")
+    return replace(cfg, **values)
 
 
 def load_config(path: str) -> RunConfig:
@@ -117,71 +139,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a parsed JSON document against the strict schema."""
-    doc = _expect_table(doc, "top level")
-    _check_keys(doc, {"medium", "motion", "receiver", "window", "flags", "compare"},
-                "top level")
-
-    cfg = RunConfig()
-
-    if "medium" in doc:
-        med = _expect_table(doc["medium"], "medium")
-        _check_keys(med, {"omega", "c"}, "medium")
-        cfg = replace(cfg,
-                      omega=_number(med, "omega", "medium", default=cfg.omega),
-                      c=_number(med, "c", "medium", default=cfg.c))
-
+    """Validate a parsed JSON document against :data:`SCHEMA`."""
+    given = {key: _value(f"{section}.{key}", val, SCHEMA[section][key])
+             for section, table in _table(doc, "top level", SCHEMA).items()
+             for key, val in _table(table, section, SCHEMA[section]).items()}
+    v, a, Omega = (given.pop(key, None) for key in ("v", "a", "Omega"))
+    cfg = override(RunConfig(), given)
     if "motion" in doc:
-        mot = _expect_table(doc["motion"], "motion")
-        _check_keys(mot, {"v", "a", "Omega", "profile"}, "motion")
-        profile = _choice(mot, "profile", "motion", PROFILES)
-        if "profile" in mot and profile is None:
-            raise ConfigError(f"motion.profile must be one of {PROFILES}")
-        v = _number(mot, "v", "motion", default=0.0)
-        a = _number(mot, "a", "motion", default=0.0)
-        Omega = _number(mot, "Omega", "motion", default=cfg.eps * cfg.omega)
+        if Omega is None:
+            Omega = cfg.eps * cfg.omega
         if Omega <= 0.0:
             raise ConfigError(f"motion.Omega must be positive, got {Omega}")
-        cfg = replace(cfg,
-                      profile=profile,
-                      beta=v / cfg.c,
-                      delta=a * Omega / cfg.c,
+        cfg = replace(cfg, beta=(v or 0.0) / cfg.c, delta=(a or 0.0) * Omega / cfg.c,
                       eps=Omega / cfg.omega)
-
-    if "receiver" in doc:
-        rec = _expect_table(doc["receiver"], "receiver")
-        _check_keys(rec, {"x"}, "receiver")
-        cfg = replace(cfg, x=_number(rec, "x", "receiver"))
-
-    if "window" in doc:
-        win = _expect_table(doc["window"], "window")
-        _check_keys(win, {"t_min", "t_max", "samples"}, "window")
-        cfg = replace(cfg,
-                      t_min=_number(win, "t_min", "window"),
-                      t_max=_number(win, "t_max", "window"),
-                      samples=_integer(win, "samples", "window", default=cfg.samples))
-
-    if "flags" in doc:
-        flags = _expect_table(doc["flags"], "flags")
-        _check_keys(flags, {"phase_shift", "frame", "source", "window"}, "flags")
-        shift = _choice(flags, "phase_shift", "flags", ("on", "off"))
-        cfg = replace(
-            cfg,
-            phase_shift=(shift == "on") if shift is not None else cfg.phase_shift,
-            frame=_choice(flags, "frame", "flags", FRAMES, default=cfg.frame),
-            source=_choice(flags, "source", "flags", SOURCES, default=cfg.source),
-            window=_choice(flags, "window", "flags", SPECTRUM_WINDOWS,
-                           default=cfg.window))
-
-    if "compare" in doc:
-        cmp_ = _expect_table(doc["compare"], "compare")
-        _check_keys(cmp_, {"eps_list"}, "compare")
-        eps_list = cmp_.get("eps_list")
-        if eps_list is not None:
-            if (not isinstance(eps_list, list) or not eps_list
-                    or any(isinstance(e, bool) or not isinstance(e, (int, float))
-                           for e in eps_list)):
-                raise ConfigError("compare.eps_list must be a non-empty number list")
-            cfg = replace(cfg, eps_list=[float(e) for e in eps_list])
-
     return cfg

@@ -130,14 +130,21 @@ class MotionProfile:
         """Return ``(alpha, alpha', alpha'')`` at ``arg >= 0``.
 
         Accepts a scalar or an ndarray.  Custom evaluators receive one
-        Python float at a time and must return something ``float()``
-        accepts; a failure raises :class:`ProfileEvaluationError` naming
-        the first failing argument in ravel order.
+        Python float at a time and must return a finite value that
+        ``float()`` accepts; a failure raises :class:`ProfileEvaluationError`
+        naming the first failing argument in ravel order.
         """
         arr = np.asarray(arg, dtype=float)
         if np.any(arr < 0.0):
             raise ArgumentOutOfRange(f"profile argument must be >= 0, got {arg}")
-        return self.eval_unchecked(arr)
+        values = self.eval_unchecked(arr)
+        if self.kind == "custom":
+            finite = np.isfinite(values[0]) & np.isfinite(values[1]) & np.isfinite(values[2])
+            if not np.all(finite):
+                u = float(arr.ravel()[np.argmin(np.ravel(finite))])
+                raise ProfileEvaluationError(
+                    f"custom profile is not finite at argument {u!r}", argument=u)
+        return values
 
     def eval_unchecked(self, arg):
         """:meth:`eval` without the trajectory's ``arg >= 0`` gate.

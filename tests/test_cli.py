@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import pytest
 import dopplerlab.cli as cli_mod
 from dopplerlab.asymptotics import moving_frame_field
 from dopplerlab.cli import main
+from dopplerlab.config import SCHEMA, RunConfig
 from dopplerlab.motion import MediumParams
 
 from conftest import make_motion
@@ -149,13 +152,14 @@ class TestValidationGate:
         ("receiver", "x", math.nan),
         ("window", "t_max", math.inf),
         ("motion", "a", math.nan),
+        ("receiver", "x", 10**400),  # an integer literal no float can hold
     ])
     def test_non_finite_json_rejected(self, tmp_path, capsys, section, key, value):
         doc = {"motion": {"profile": "oscillatory", "v": 0.0, "a": 2.0, "Omega": 0.1},
                "receiver": {"x": 5.0}, "window": {"t_min": 5.0, "t_max": 30.0}}
         doc[section][key] = value
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        path.write_text(json.dumps(doc))  # writes NaN / Infinity / long integer literals
         out = tmp_path / "never"
         assert run(["field", "--config", str(path), "--out", str(out)]) == 2
         assert "error: BAD_CONFIG:" in capsys.readouterr().err
@@ -220,6 +224,28 @@ class TestCompare:
         assert float(data["max_phase_err"]) < 1e-12
         assert float(data["max_freq_rel_err"]) < 1e-12
         assert float(data["max_modulus_err"]) < 1e-12
+
+    def test_eps_flag_overrides_config_list(self, out_dir, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"compare": {"eps_list": [0.1, 0.05]}}))
+        assert run(["compare", "--config", str(path), "--profile", "decelerating",
+                    "--delta", "-0.2", "--eps", "0.025", "--x", "0.1",
+                    "--samples", "101"]) == 0
+        assert list(np.atleast_1d(read_csv(out_dir / "compare.csv")["eps"])) == [0.025]
+
+    @pytest.mark.parametrize("window, message", [
+        (["--t-max", "30"], "t_min is required for this command (set --t-min or config)"),
+        (["--t-min", "30"], "t_max is required for this command (set --t-max or config)"),
+        (["--t-min", "30", "--t-max", "20"], "need t_max > t_min, got [30.0, 20.0]"),
+        (["--samples", "1"], "need samples >= 2, got 1"),
+    ], ids=["lone-t-max", "lone-t-min", "empty", "one-sample"])
+    def test_bad_window_is_bad_config(self, tmp_path, capsys, window, message):
+        out = tmp_path / "never"
+        code = run(["compare", "--profile", "decelerating", "--delta", "-0.2",
+                    "--eps", "0.1", "--x", "0.1", *window, "--out", str(out)])
+        assert code == 2
+        assert f"error: BAD_CONFIG: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFigures:
@@ -302,6 +328,19 @@ class TestAppendixCheck:
         assert "error: IDENTITY_MISMATCH:" in err
         assert "1.000e-06" in err
         assert not out_dir.exists()
+
+
+class TestParser:
+    def test_flags_follow_run_config_and_schema(self):
+        parser = argparse.ArgumentParser()
+        cli_mod._add_common(parser)
+        actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config", "out")}
+        assert set(actions) <= {f.name for f in dataclasses.fields(RunConfig)}
+        kinds = {key: kind for table in SCHEMA.values() for key, kind in table.items()}
+        choices = {key for key, kind in kinds.items() if isinstance(kind, tuple)}
+        assert choices <= set(actions)
+        for dest, action in actions.items():
+            assert action.choices is (kinds[dest] if dest in choices else None), dest
 
 
 class TestOutputLocation:

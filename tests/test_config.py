@@ -75,10 +75,13 @@ def test_numbers_must_be_numbers():
 def test_compare_eps_list():
     cfg = parse_config({"compare": {"eps_list": [0.1, 0.05]}})
     assert cfg.eps_list == [0.1, 0.05]
+    assert parse_config({"compare": {"eps_list": None}}).eps_list is None
     with pytest.raises(ConfigError):
         parse_config({"compare": {"eps_list": []}})
     with pytest.raises(ConfigError):
         parse_config({"compare": {"eps_list": "0.1"}})
+    with pytest.raises(ConfigError):
+        parse_config({"compare": {"eps_list": [0.1, 10**400]}})
 
 
 def test_malformed_json_rejected(tmp_path):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dopplerlab.asymptotics import am_factor, lab_phase, leading_order_field
 from dopplerlab.errors import (
     ArgumentOutOfRange,
     InvalidNormalization,
@@ -23,6 +24,8 @@ from dopplerlab.motion import (
     boundary_velocity,
     validate,
 )
+from dopplerlab.oracle import retarded_time
+from dopplerlab.signal import sample_receiver
 
 from conftest import make_motion
 
@@ -102,6 +105,31 @@ class TestCustomProfile:
         with pytest.raises(ProfileEvaluationError) as excinfo:
             prof.eval(7.5)
         assert excinfo.value.argument == 7.5
+
+    @pytest.mark.parametrize("call", [
+        lambda m, med: sample_receiver("asymptotic", m, med, 5.0, 6.0, 0.1, 4),
+        lambda m, med: sample_receiver("oracle", m, med, 5.0, 6.0, 0.1, 4),
+        lambda m, med: retarded_time(m, med, 5.0, 6.0),
+        lambda m, med: am_factor(m, med, 5.0, 6.0),
+        lambda m, med: lab_phase(m, med, 5.0, 6.0, False),
+        lambda m, med: boundary_position(m, 6.0),
+        lambda m, med: leading_order_field(m, med, 5.0, 6.0),
+    ], ids=["sample-asymptotic", "sample-oracle", "retarded_time", "am_factor",
+            "lab_phase", "boundary_position", "leading_order_field"])
+    def test_non_finite_value_rejected(self, medium, call):
+        # Construction samples only alpha', so an alpha that is NaN past 0
+        # gets that far; the first evaluation past 0 must refuse it.
+        prof = MotionProfile.custom(lambda u: 0.0 if u == 0.0 else math.nan, math.cos,
+                                    lambda u: -math.sin(u), horizon=10.0)
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            call(make_motion(prof, beta=0.0, delta=0.2, eps=0.1), medium)
+        assert excinfo.value.argument > 0.0
+
+    def test_first_non_finite_argument_named(self):
+        prof = _sine_twin(alpha_pprime=lambda u: math.inf if u >= 2.0 else math.cos(u))
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            prof.eval(np.array([[1.0, 2.5], [3.0, 0.5]]))
+        assert excinfo.value.argument == 2.5
 
 
 def _sine_twin(alpha=lambda u: 1.0 - math.cos(u), alpha_prime=math.sin,

