@@ -84,17 +84,11 @@ def _fm(beta, delta, ap):
     return 1.0 / (1.0 - beta - delta * ap)
 
 
-def _kinematics(profile: MotionProfile, beta, delta, slow_t):
-    """``(alpha, alpha', alpha'', FM)`` at slow time ``slow_t = Omega*t``."""
-    alpha, ap, app = (np.asarray(v) for v in profile.eval(slow_t))
-    return alpha, ap, app, _fm(beta, delta, ap)
-
-
 def _am(profile: MotionProfile, beta, delta, eps, omega_x_c, slow_t, alpha):
-    """AM factor from the slow time and ``alpha`` there (two more evaluations)."""
-    _, ap_far, _ = profile.eval((1.0 - 2.0 * beta) * slow_t + eps * np.asarray(omega_x_c)
-                                - 2.0 * delta * alpha)
-    _, ap_src, _ = profile.eval((1.0 - beta) * slow_t - delta * alpha)
+    """AM factor from the slow time and ``alpha`` there (two more evaluations of ``alpha'``)."""
+    ap_far, = profile.eval((1.0 - 2.0 * beta) * slow_t + eps * np.asarray(omega_x_c)
+                           - 2.0 * delta * alpha, order=(1,))
+    ap_src, = profile.eval((1.0 - beta) * slow_t - delta * alpha, order=(1,))
     return np.exp(-0.5 * delta * (np.asarray(ap_far) - np.asarray(ap_src)))
 
 
@@ -142,22 +136,22 @@ def _lab_field(motion: BoundaryMotion, medium: MediumParams, group, x, t,
 
 def fm_dimensionless(profile: MotionProfile, beta, delta, eps, omega_t):
     """FM factor ``1 / (1 - beta - delta*alpha'(eps*omega*t))``."""
-    fm = _kinematics(profile, beta, delta, eps * np.asarray(omega_t, dtype=float))[3]
-    return _match(omega_t, fm)
+    ap, = profile.eval(eps * np.asarray(omega_t, dtype=float), order=(1,))
+    return _match(omega_t, _fm(beta, delta, np.asarray(ap)))
 
 
 def am_dimensionless(profile: MotionProfile, beta, delta, eps, omega_x_c, omega_t):
     """AM factor as a function of ``omega*x/c`` and ``omega*t``."""
     st = eps * np.asarray(omega_t, dtype=float)
-    alpha = np.asarray(profile.eval(st)[0])
+    alpha, = profile.eval(st, order=(0,))
     return _match(omega_t, _am(profile, beta, delta, eps, omega_x_c, st, alpha))
 
 
 def phase_shift_dimensionless(profile: MotionProfile, beta, delta, eps, omega_t):
     """Slow phase shift in radians: ``FM * (delta*alpha'*omega*t - (delta/eps)*alpha)``."""
     wt = np.asarray(omega_t, dtype=float)
-    alpha, ap, _, fm = _kinematics(profile, beta, delta, eps * wt)
-    return _match(omega_t, _phase_shift(delta, eps, wt, alpha, ap, fm))
+    alpha, ap = (np.asarray(v) for v in profile.eval(eps * wt, order=(0, 1)))
+    return _match(omega_t, _phase_shift(delta, eps, wt, alpha, ap, _fm(beta, delta, ap)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,7 @@ def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,
         return FieldSample(x=x, t=t, value=0.0j, factors=None)
     x = snap_to_boundary(motion, medium, x, t)
     phase, am, fm, _ = _lab_field(motion, medium, group, x, t, include_phase_shift)
-    alpha, ap, _, _ = _kinematics(motion.profile, group.beta, group.delta, motion.Omega * t)
+    alpha, ap = motion.profile.eval(motion.Omega * t, order=(0, 1))
     shift = _phase_shift(group.delta, group.eps, medium.omega * t, alpha, ap, fm)
     factors = ModulationFactors(fm=float(fm), am=float(am), phase_shift=float(shift))
     return FieldSample(x=x, t=t, value=complex(am * np.exp(1j * phase)), factors=factors)
@@ -252,10 +246,10 @@ def moving_frame_field(motion: BoundaryMotion, medium: MediumParams,
     if not np.all(eta >= 0.0):  # a NaN distance fails too
         raise ArgumentOutOfRange("moving-frame distance eta must be >= 0")
     st = eps * tau
-    alpha, ap, _ = motion.profile.eval(st)
+    alpha, ap = motion.profile.eval(st, order=(0, 1))
     base = (1.0 - beta) * st - delta * np.asarray(alpha)
-    _, ap_far, _ = motion.profile.eval(base + eps * eta)
-    _, ap_src, _ = motion.profile.eval(base)
+    ap_far, = motion.profile.eval(base + eps * eta, order=(1,))
+    ap_src, = motion.profile.eval(base, order=(1,))
     env = np.exp(-0.5 * delta * (np.asarray(ap_far) - np.asarray(ap_src)))
     beta_tilde = beta + delta * np.asarray(ap)
     phase = tau - eta / (1.0 - beta_tilde)

@@ -59,7 +59,7 @@ def to_characteristic_coords(eta, tau, motion: BoundaryMotion,
     tau = float(tau)
     if eta < 0.0 or tau < 0.0:
         raise ArgumentOutOfRange("characteristic coordinates need eta, tau >= 0")
-    _, ap, _ = motion.profile.eval(eps * tau)
+    ap, = motion.profile.eval(eps * tau, order=(1,))
     beta_tilde = beta + delta * ap
     return CharacteristicCoords(
         theta1=eta + (beta_tilde + 1.0) * tau,
@@ -82,7 +82,7 @@ def slow_characteristic(family: str, eta1, tau1, motion: BoundaryMotion,
         raise ArgumentOutOfRange("slow coordinates must be >= 0")
     beta = motion.v / medium.c
     delta = motion.a * motion.Omega / medium.c
-    alpha, _, _ = motion.profile.eval(t1)
+    alpha, = motion.profile.eval(t1, order=(0,))
     sign = 1.0 if family == "plus" else -1.0
     s = (1.0 + sign * beta) * t1 + sign * delta * np.asarray(alpha) - sign * e1
     return _match(tau1 if np.ndim(tau1) else eta1, s)
@@ -98,8 +98,8 @@ def transport_amplitude(family: str, eta1, tau1, motion: BoundaryMotion,
     # Plus-family labels can be negative ahead of the boundary-launched
     # characteristics, so evaluate the profile formulas without the
     # trajectory-time gate.
-    _, ap_here, _ = motion.profile.eval_unchecked(s_here)
-    _, ap_src, _ = motion.profile.eval_unchecked(s_src)
+    ap_here, = motion.profile.eval_unchecked(s_here, order=(1,))
+    ap_src, = motion.profile.eval_unchecked(s_src, order=(1,))
     return _match(tau1 if np.ndim(tau1) else eta1,
                   np.exp(-0.5 * delta * (np.asarray(ap_here) - np.asarray(ap_src))))
 
@@ -130,7 +130,7 @@ def general_excitation_field(excitation: Callable[[float], complex], eta, tau,
     """
     coords = to_characteristic_coords(eta, tau, motion, medium)
     beta, delta, eps = validate(motion, medium)
-    _, ap, _ = motion.profile.eval(coords.tau1)
+    ap, = motion.profile.eval(coords.tau1, order=(1,))
     beta_tilde = beta + delta * ap
 
     arg_plus = coords.theta1 / (beta_tilde + 1.0)

@@ -126,27 +126,34 @@ class MotionProfile:
             )
         return replace(prof, slope_range=(float(np.min(slopes)), float(np.max(slopes))))
 
-    def eval(self, arg):
-        """Return ``(alpha, alpha', alpha'')`` at ``arg >= 0``.
+    def eval(self, arg, order=(0, 1, 2)):
+        """Return the derivatives of ``alpha`` named in ``order`` at ``arg >= 0``.
 
-        Accepts a scalar or an ndarray.  Custom evaluators receive one
-        Python float at a time and must return a finite value that
-        ``float()`` accepts; a failure raises :class:`ProfileEvaluationError`
-        naming the first failing argument in ravel order.
+        ``order`` lists derivative orders from ``(0, 1, 2)``; the default
+        returns ``(alpha, alpha', alpha'')`` and ``order=(1,)`` returns
+        ``(alpha',)``.  Only the requested derivatives are computed, so a
+        custom profile calls only the callables named.  Accepts a scalar or
+        an ndarray.  Custom evaluators receive one Python float at a time
+        and must return a finite value that ``float()`` accepts; only the
+        values returned are checked, and a failure raises
+        :class:`ProfileEvaluationError` naming the first failing argument
+        in ravel order.
         """
         arr = np.asarray(arg, dtype=float)
         if np.any(arr < 0.0):
             raise ArgumentOutOfRange(f"profile argument must be >= 0, got {arg}")
-        values = self.eval_unchecked(arr)
+        values = self.eval_unchecked(arr, order)
         if self.kind == "custom":
-            finite = np.isfinite(values[0]) & np.isfinite(values[1]) & np.isfinite(values[2])
+            finite = np.ones(arr.shape, dtype=bool)
+            for v in values:
+                finite &= np.isfinite(v)
             if not np.all(finite):
                 u = float(arr.ravel()[np.argmin(np.ravel(finite))])
                 raise ProfileEvaluationError(
                     f"custom profile is not finite at argument {u!r}", argument=u)
         return values
 
-    def eval_unchecked(self, arg):
+    def eval_unchecked(self, arg, order=(0, 1, 2)):
         """:meth:`eval` without the trajectory's ``arg >= 0`` gate.
 
         Characteristic labels can be negative even when every time involved
@@ -154,19 +161,22 @@ class MotionProfile:
         evaluator triples are called as supplied (callers own the domain).
         """
         arr = np.asarray(arg, dtype=float)
+        if self.kind == "custom":
+            triple = (self.alpha, self.alpha_prime, self.alpha_pprime)
+            callables = tuple(triple[k] for k in order)
+            if arr.ndim == 0:
+                return _call_custom(callables, float(arr))
+            return _map_custom(callables, arr)
         if self.kind == "constant":
-            z = np.zeros_like(arr)
-            return _match(arg, z), _match(arg, z), _match(arg, z)
+            z = _match(arg, np.zeros_like(arr))
+            return tuple(z for _ in order)
         if self.kind == "decelerating":
             e = np.exp(-arr)
-            return _match(arg, 1.0 - e), _match(arg, e), _match(arg, -e)
-        if self.kind == "oscillatory":
-            sin = np.sin(arr)
-            return _match(arg, sin), _match(arg, np.cos(arr)), _match(arg, -sin)
-        triple = (self.alpha, self.alpha_prime, self.alpha_pprime)
-        if arr.ndim == 0:
-            return _call_custom(triple, float(arr))
-        return _map_custom(triple, arr)
+            forms = (lambda: 1.0 - e, lambda: e, lambda: -e)
+        else:  # oscillatory
+            sin = np.sin(arr) if 0 in order or 2 in order else None
+            forms = (lambda: sin, lambda: np.cos(arr), lambda: -sin)
+        return tuple(_match(arg, forms[k]()) for k in order)
 
 
 def _call_custom(callables, u: float) -> tuple:
@@ -227,23 +237,26 @@ class DimensionlessGroup(NamedTuple):
 
 def boundary_position(motion: BoundaryMotion, t):
     """``X_s(t) = v*t + a*alpha(Omega*t)``; zero at ``t = 0``."""
-    alpha, _, _ = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float))
+    alpha, = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float), order=(0,))
     return _match(t, motion.v * np.asarray(t, dtype=float) + motion.a * np.asarray(alpha))
 
 
 def boundary_velocity(motion: BoundaryMotion, t):
     """``dX_s/dt = v + a*Omega*alpha'(Omega*t)``."""
-    _, ap, _ = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float))
+    ap, = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float), order=(1,))
     return _match(t, motion.v + motion.a * motion.Omega * np.asarray(ap))
 
 
 def time_window(motion: BoundaryMotion, medium: MediumParams, ts) -> None:
     """The time rules of every sampled window, whatever samples it.
 
-    :class:`ArgumentOutOfRange` rejects a negative or NaN earliest time, and
-    a latest time with ``Omega*t`` past a custom profile's validated horizon
-    or with ``omega*t >= MAX_OMEGA_T``.  ``ts`` is a scalar or an array.
+    :class:`ArgumentOutOfRange` rejects an empty grid, a negative or NaN
+    earliest time, and a latest time with ``Omega*t`` past a custom
+    profile's validated horizon or with ``omega*t >= MAX_OMEGA_T``.  ``ts``
+    is a scalar or an array.
     """
+    if np.size(ts) == 0:
+        raise ArgumentOutOfRange("the time grid is empty")
     first, last = float(np.min(ts)), float(np.max(ts))
     if not first >= 0.0:  # NaN propagates through np.min and fails too
         raise ArgumentOutOfRange(f"time must be >= 0, got {first}")

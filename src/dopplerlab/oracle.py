@@ -8,12 +8,18 @@ bracketed by ``[0, t]``.  This module is the independent check against
 which the multiple-scales approximation is measured.
 
 One vectorised solver, :func:`_solve_retarded`, serves every profile,
-built-in or custom.  It starts from the uniform-motion guess
-``(t - x/c)/(1 - beta)`` and takes Newton steps, each from one
-:meth:`MotionProfile.eval` call giving ``g`` and ``g'`` together.  The
-``[0, t]`` bracket shrinks around the root as it goes, and a step that
-would leave it falls back to the bracket midpoint (``rtsafe`` in
-*Numerical Recipes*).  Only points not yet within tolerance keep iterating.
+built-in or custom.  Its inverse, ``t(S) = x/c + S - X_s(S)/c``, is
+explicit and strictly increasing, so the solver first solves the two
+window ends from the uniform-motion guess ``(t - x/c)/(1 - beta)``,
+tabulates ``t(S)`` between them (``TABLE_ROWS_PER_SLOW_TIME`` rows per unit
+of slow time ``Omega*S``, never more rows than the grid has points) and
+starts every point at ``np.interp`` of that table.  From there it takes
+Newton steps, each from one :meth:`MotionProfile.eval` call giving ``g``
+and ``g'`` together from ``alpha`` and ``alpha'``.  The ``[0, t]``
+bracket shrinks around the root as it goes, and a step that would leave it
+falls back to the bracket midpoint (``rtsafe`` in *Numerical Recipes*).
+Only points not yet within tolerance keep iterating; from the table most
+need one step.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .asymptotics import _kinematics, _lab_field
+from .asymptotics import _fm, _lab_field
 from .errors import ArgumentOutOfRange, NoConvergence
 from .motion import BoundaryMotion, MediumParams, before_arrival, receiver_window, validate
 
@@ -34,10 +40,18 @@ DEFAULT_TOL_SCALE = 1e-12
 #: Newton-step budget per point of the retarded-time solve.
 MAX_ITERATIONS = 200
 
+#: Rows per unit of slow time (``Omega*t_e``) in the table of the inverse
+#: map that starts the solve; a table never has more rows than the grid.
+TABLE_ROWS_PER_SLOW_TIME = 512
+
 
 @dataclass(frozen=True)
 class RetardedTimeResult:
-    """Emission time with its achieved residual and iteration count."""
+    """Emission time with its achieved residual and iteration count.
+
+    ``iterations`` counts the Newton steps from the tabulated start, which
+    for one reception time is the solved window end itself.
+    """
 
     t_e: float
     residual: float
@@ -57,37 +71,72 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
                     ts: np.ndarray, tol: float):
     """Safeguarded Newton solve of the retarded-time equation on a grid.
 
-    ``ts`` is a 1-D grid with ``t - x/c >= 0`` (caller-checked).  Returns
-    ``(t_e, residual, iterations)`` arrays; callers decide whether
-    ``residual > tol`` is fatal.
+    ``ts`` is a non-empty 1-D grid with ``t - x/c >= 0`` (caller-checked).
+    The two window ends are solved from the uniform-motion guess; every
+    point then starts from the inverse of the map ``t(S)`` tabulated
+    between them (module docstring).  Returns ``(t_e, residual,
+    iterations)`` arrays, ``iterations`` counting the Newton steps from each
+    point's tabulated start; callers decide whether ``residual > tol`` is
+    fatal.
+    """
+    t = np.asarray(ts, dtype=float)
+    return _newton(motion, medium, x, t, _tabulated_start(motion, medium, x, t, tol), tol)
+
+
+def _tabulated_start(motion: BoundaryMotion, medium: MediumParams, x: float,
+                     t: np.ndarray, tol: float) -> np.ndarray:
+    """Each point's start: ``t(S)`` tabulated between the solved window ends, inverted.
+
+    The table dies on return, so only the start array reaches the solve.
     """
     c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
-    t = np.asarray(ts, dtype=float)
+    ends = np.array([np.min(t), np.max(t)])
+    s_lo, s_hi = _newton(motion, medium, x, ends,
+                         np.clip((ends - x / c) / (1.0 - v / c), 0.0, ends), tol)[0]
+    rows = min(t.size, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * (s_hi - s_lo)))
+    emission = np.linspace(s_lo, s_hi, rows)
+    alpha, = motion.profile.eval(Omega * emission, order=(0,))
+    reception = x / c + emission - (v * emission + a * alpha) / c
+    del alpha
+    return np.clip(np.interp(t, reception, emission), 0.0, t)
+
+
+def _newton(motion: BoundaryMotion, medium: MediumParams, x: float, t: np.ndarray,
+            s: np.ndarray, tol: float):
+    """Newton steps on ``g(s) = s - X_s(s)/c - (t - x/c)`` from the start ``s``.
+
+    Each step takes ``g`` and ``g'`` from one :meth:`MotionProfile.eval` of
+    ``(alpha, alpha')``, inside the bracket ``[0, t]``; only points with
+    ``|g| > tol`` keep iterating, for at most ``MAX_ITERATIONS`` steps.
+    """
+    c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
     te = np.empty_like(t)
     resid = np.empty_like(t)
     iters = np.zeros(t.shape, dtype=np.int64)
 
     idx = np.arange(t.size)
     rhs = t - x / c
-    s = np.clip(rhs / (1.0 - v / c), 0.0, t)
     lo, hi = np.zeros_like(t), t
     # Grids run to 10^5-10^6 points, so each array is dropped as soon as it
     # is dead and the working set is compacted one array at a time: peak
     # memory stays at about a dozen grid-sized arrays.
     for it in range(MAX_ITERATIONS + 1):
-        alpha, ap = motion.profile.eval(Omega * s)[:2]
+        alpha, ap = motion.profile.eval(Omega * s, order=(0, 1))
         g = s - (v * s + a * alpha) / c - rhs
         del alpha
         done = np.abs(g) <= tol
         if it == MAX_ITERATIONS:
             done[:] = True
-        finished = idx[done]
-        te[finished] = s[done]
-        resid[finished] = np.abs(g[done])
-        iters[finished] = it
-        if finished.size == idx.size:
+        if done.all():
+            # From the tabulated start every point usually finishes at
+            # once; masked copies here would each be grid-sized.
+            te[idx], resid[idx], iters[idx] = s, np.abs(g, out=g), it
             break
-        if finished.size:
+        if done.any():
+            finished = idx[done]
+            te[finished] = s[done]
+            resid[finished] = np.abs(g[done])
+            iters[finished] = it
             keep = ~done
             idx = idx[keep]
             rhs = rhs[keep]
@@ -96,6 +145,7 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
             ap = ap[keep]
             lo = lo[keep]
             hi = hi[keep]
+        del done
         lo = np.where(g < 0.0, s, lo)
         hi = np.where(g > 0.0, s, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -105,6 +155,7 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
         # (that IS the root when g is locally linear).
         bad = ~np.isfinite(s) | (s < lo) | (s > hi)
         s[bad] = 0.5 * (lo[bad] + hi[bad])
+        del bad
     return te, resid, iters
 
 
@@ -131,7 +182,7 @@ def _exact_field(motion: BoundaryMotion, medium: MediumParams, group, x: float, 
     received frequency over ``omega``), or None unless ``with_fm`` is set.
     """
     te = _solve_checked(motion, medium, x, ts)[0]
-    fm = (_kinematics(motion.profile, group.beta, group.delta, motion.Omega * te)[3]
+    fm = (_fm(group.beta, group.delta, motion.profile.eval(motion.Omega * te, order=(1,))[0])
           if with_fm else None)
     return medium.omega * te, fm
 

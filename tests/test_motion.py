@@ -56,6 +56,18 @@ class TestProfileEval:
         with pytest.raises(ArgumentOutOfRange):
             MotionProfile.decelerating().eval(-0.5)
 
+    @pytest.mark.parametrize("order", [(0,), (1,), (2,), (0, 1), (0, 2), (2, 1)])
+    @pytest.mark.parametrize("kind", ["constant", "decelerating", "oscillatory", "custom"])
+    def test_order_selects_derivatives(self, kind, order):
+        prof = _sine_twin() if kind == "custom" else getattr(MotionProfile, kind)()
+        for args in (2.5, np.linspace(0.0, 12.0, 7)):
+            full = prof.eval(args)
+            got = prof.eval(args, order=order)
+            assert len(got) == len(order)
+            for k, value in zip(order, got):
+                assert type(value) is type(full[k])
+                assert np.asarray(value).tobytes() == np.asarray(full[k]).tobytes()
+
 
 class TestCustomProfile:
     def test_normalized_custom_accepted(self):
@@ -130,6 +142,15 @@ class TestCustomProfile:
         with pytest.raises(ProfileEvaluationError) as excinfo:
             prof.eval(np.array([[1.0, 2.5], [3.0, 0.5]]))
         assert excinfo.value.argument == 2.5
+
+    def test_only_requested_values_checked(self):
+        # alpha'' is infinite from 2 on, but a caller that asks for alpha
+        # and alpha' never calls it.
+        prof = _sine_twin(alpha_pprime=lambda u: math.inf if u >= 2.0 else math.cos(u))
+        alpha, ap = prof.eval(np.arange(4.0), order=(0, 1))
+        assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(ap))
+        with pytest.raises(ProfileEvaluationError):
+            prof.eval(np.arange(4.0), order=(2,))
 
 
 def _sine_twin(alpha=lambda u: 1.0 - math.cos(u), alpha_prime=math.sin,

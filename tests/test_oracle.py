@@ -1,6 +1,7 @@
 """Exact retarded-time reference solution and asymptotic comparison."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from dopplerlab.errors import (
     NotYetReached,
     ObserverInsideBoundary,
 )
-from dopplerlab.motion import MotionProfile, boundary_position
+from dopplerlab.motion import MotionProfile, _profile_speed_sup, boundary_position, validate
 from dopplerlab.oracle import (
     compare_fields,
     exact_field,
     exact_instantaneous_frequency,
     retarded_time,
 )
+from dopplerlab.signal import sample_receiver
 
 from conftest import make_motion
 
@@ -78,8 +80,9 @@ class TestRetardedTime:
             retarded_time(m, medium, 0.5, 8.0)
 
     def test_exhausted_budget_raises(self, medium, monkeypatch):
-        # One Newton step from the uniform-motion guess leaves a residual
-        # of about 4e-3, far above tolerance.
+        # With a one-step budget the window-end solve and the solve from
+        # its table take one Newton step each from the uniform-motion
+        # guess; the two leave a residual of about 1e-7, far above tolerance.
         monkeypatch.setattr(oracle_mod, "MAX_ITERATIONS", 1)
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
         with pytest.raises(NoConvergence):
@@ -139,6 +142,33 @@ class TestSolver:
                     assert np.max(resid) <= tol
                     assert np.max(iters) <= 6, (profile, delta, eps)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("profile,delta,x_slow", [
+        ("decelerating", -0.2, 0.1),
+        ("oscillatory", 0.2, 0.28),
+    ])
+    def test_tabulated_start_budget(self, profile, delta, x_slow, eps, medium):
+        # The grids of the compare sweep: 20 carrier periods from arrival at
+        # the slow receiver coordinate x_slow, 200,001 samples.
+        m = make_motion(profile, beta=0.0, delta=delta, eps=eps)
+        x = x_slow / eps
+        ts = np.linspace(x, x + 20.0 * 2.0 * math.pi, 200_001)
+        tol = oracle_mod.DEFAULT_TOL_SCALE
+        _, resid, iters = oracle_mod._solve_retarded(m, medium, x, ts, tol)
+        assert np.max(resid) <= tol
+        assert np.max(iters) <= 2
+        assert np.mean(iters) <= 1.1
+
+    def test_long_window_still_stalls(self, medium):
+        # Past t = 8192/omega one float step in t exceeds the 1e-12/omega
+        # stop rule, so some points stall however good their start is: the
+        # stop rule, not the start, has to change to mend it.
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        x = 5.0
+        ts = np.linspace(x + 0.5, x + 0.5 + 135 * 20.0 * math.pi, 40_000)
+        with pytest.raises(NoConvergence):
+            oracle_mod._solve_checked(m, medium, x, ts)
+
     def test_custom_twin_matches_builtin(self, medium):
         builtin = make_motion("oscillatory", beta=0.1, delta=0.3, eps=0.1)
         sine = MotionProfile.custom(math.sin, math.cos, lambda u: -math.sin(u),
@@ -148,6 +178,57 @@ class TestSolver:
         te_builtin = oracle_mod._solve_checked(builtin, medium, 100.0, ts)[0]
         te_twin = oracle_mod._solve_checked(twin, medium, 100.0, ts)[0]
         assert np.max(np.abs(te_twin - te_builtin)) <= 1e-12
+
+
+class TestRoundTrip:
+    """Emission grids through the explicit map ``t(S)`` and back, no solver as reference.
+
+    ``|g(t_e)| <= tol`` and ``g' = 1/FM``, so the solve returns ``S`` within
+    ``tol`` times the largest FM of the motion, plus the few ulps of ``t``
+    that building ``t`` and evaluating ``g`` round away.
+    """
+
+    @pytest.mark.parametrize("n", [200_001, 1])
+    @pytest.mark.parametrize("eps", [0.1, 0.0125])
+    @pytest.mark.parametrize("profile,beta,delta", [
+        ("constant", 0.4, 0.0),
+        ("decelerating", 0.1, -0.3),
+        ("oscillatory", -0.2, 0.4),
+        ("custom", 0.0, 0.3),
+    ])
+    def test_emission_grid_recovered(self, profile, beta, delta, eps, n, medium):
+        if profile == "custom":
+            profile = MotionProfile.custom(
+                lambda u: 1.0 - math.cos(u), math.sin, math.cos, horizon=30.0)
+        m = make_motion(profile, beta=beta, delta=delta, eps=eps)
+        group = validate(m, medium)
+        fm_bound = 1.0 / (1.0 - _profile_speed_sup(m.profile, group.beta, group.delta))
+        x = 1.0 / eps
+        emission = np.linspace(0.0, 2.5 / eps, n) if n > 1 else np.array([1.25 / eps])
+        ts = x / medium.c + emission - np.asarray(boundary_position(m, emission)) / medium.c
+        te = oracle_mod._solve_checked(m, medium, x, ts)[0]
+        tol = oracle_mod.DEFAULT_TOL_SCALE / medium.omega
+        assert np.all(np.abs(te - emission) <= fm_bound * (tol + 4.0 * np.spacing(ts)))
+
+
+class TestProfileCalls:
+    def test_oracle_never_calls_alpha_pprime(self, medium):
+        calls = Counter()
+
+        def counted(name, f):
+            def call(u):
+                calls[name] += 1
+                return f(u)
+            return call
+
+        prof = MotionProfile.custom(counted("alpha", lambda u: 1.0 - math.cos(u)),
+                                    counted("alpha'", math.sin),
+                                    counted("alpha''", math.cos), horizon=60.0)
+        m = make_motion(prof, beta=0.0, delta=0.3, eps=0.1)
+        calls.clear()
+        sample_receiver("oracle", m, medium, 10.0, 10.5, 0.5, 1000)
+        assert calls["alpha''"] == 0
+        assert calls["alpha"] > 0 and calls["alpha'"] > 0
 
 
 class TestExactField:

@@ -3,9 +3,9 @@
 The boundary moves at half the wave speed (``X_s(t) = t/2``, ``c = 1``).
 Each case is a window, and the time that pointwise entry points use.
 Every entry point applies the time rules of ``motion.time_window`` first:
-it rejects a window that starts before ``t = 0``, one that ends at
-``omega*t >= MAX_OMEGA_T`` and, for a custom profile, one that ends past
-its validated horizon in ``Omega*t``, with ``ARG_OUT_OF_RANGE``
+it rejects an empty grid, a window that starts before ``t = 0``, one that
+ends at ``omega*t >= MAX_OMEGA_T`` and, for a custom profile, one that ends
+past its validated horizon in ``Omega*t``, with ``ARG_OUT_OF_RANGE``
 (``exact_field`` and ``leading_order_field`` return 0 before ``t = 0``,
 as outside the cone).  Entry points that check the causal cone reject
 windows before arrival with ``NOT_YET_REACHED``; ``exact_field`` and
@@ -19,6 +19,7 @@ only the time rules.
 
 import math
 
+import numpy as np
 import pytest
 
 from dopplerlab.asymptotics import (
@@ -30,15 +31,23 @@ from dopplerlab.asymptotics import (
     moving_frame_field,
 )
 from dopplerlab.cli import main
-from dopplerlab.errors import DopplerLabError
-from dopplerlab.motion import MAX_OMEGA_T, BoundaryMotion, MediumParams, MotionProfile
+from dopplerlab.errors import ArgumentOutOfRange, DopplerLabError
+from dopplerlab.motion import (
+    MAX_OMEGA_T,
+    BoundaryMotion,
+    MediumParams,
+    MotionProfile,
+    receiver_window,
+    snap_to_boundary,
+    time_window,
+)
 from dopplerlab.oracle import (
     compare_fields,
     exact_field,
     exact_instantaneous_frequency,
     retarded_time,
 )
-from dopplerlab.signal import sample_receiver
+from dopplerlab.signal import sample_on_grid, sample_receiver
 
 from conftest import make_motion
 
@@ -208,6 +217,28 @@ def test_nan_time_rejected(entry, tmp_path, capsys):
     run, _ = ENTRY_POINTS[entry]
     window = (6.0, 7.0, math.nan, math.nan)
     assert run(MOTION, window, tmp_path / "out", capsys) == "ARG_OUT_OF_RANGE"
+
+
+#: Every API entry point that takes a time grid, as a call on the grid ``ts``.
+GRID_ENTRY_POINTS = {
+    "time_window": lambda ts: time_window(MOTION, MEDIUM, ts),
+    "snap_to_boundary": lambda ts: snap_to_boundary(MOTION, MEDIUM, 6.0, ts),
+    "receiver_window": lambda ts: receiver_window(MOTION, MEDIUM, 6.0, ts),
+    "fm_factor": lambda ts: fm_factor(MOTION, MEDIUM, ts),
+    "am_factor": lambda ts: am_factor(MOTION, MEDIUM, 6.0, ts),
+    "lab_phase": lambda ts: lab_phase(MOTION, MEDIUM, 6.0, ts, True),
+    "lab_phase_rate": lambda ts: lab_phase_rate(MOTION, MEDIUM, 6.0, ts, True),
+    "moving_frame_field": lambda ts: moving_frame_field(MOTION, MEDIUM, 1.0, ts),
+    "sample_on_grid-asymptotic": lambda ts: sample_on_grid("asymptotic", MOTION, MEDIUM, 6.0, ts),
+    "sample_on_grid-oracle": lambda ts: sample_on_grid("oracle", MOTION, MEDIUM, 6.0, ts),
+}
+
+
+@pytest.mark.parametrize("grid", [[], np.empty(0)], ids=["list", "array"])
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+def test_empty_time_grid_rejected(entry, grid):
+    with pytest.raises(ArgumentOutOfRange):
+        GRID_ENTRY_POINTS[entry](grid)
 
 
 #: Every API entry point that takes a receiver (``fm_factor`` takes none).
