@@ -71,7 +71,7 @@ def wavenumber(beta_tilde):
     b = np.asarray(beta_tilde, dtype=float)
     if np.any(b >= 1.0):
         raise DegenerateRatio(f"beta_tilde={beta_tilde} >= 1 is not subsonic")
-    return _match(beta_tilde, 1.0 / (1.0 - b))
+    return _match(1.0 / (1.0 - b))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +137,21 @@ def _lab_field(motion: BoundaryMotion, medium: MediumParams, group, x, t,
 def fm_dimensionless(profile: MotionProfile, beta, delta, eps, omega_t):
     """FM factor ``1 / (1 - beta - delta*alpha'(eps*omega*t))``."""
     ap, = profile.eval(eps * np.asarray(omega_t, dtype=float), order=(1,))
-    return _match(omega_t, _fm(beta, delta, np.asarray(ap)))
+    return _match(_fm(beta, delta, np.asarray(ap)))
 
 
 def am_dimensionless(profile: MotionProfile, beta, delta, eps, omega_x_c, omega_t):
     """AM factor as a function of ``omega*x/c`` and ``omega*t``."""
     st = eps * np.asarray(omega_t, dtype=float)
     alpha, = profile.eval(st, order=(0,))
-    return _match(omega_t, _am(profile, beta, delta, eps, omega_x_c, st, alpha))
+    return _match(_am(profile, beta, delta, eps, omega_x_c, st, alpha))
 
 
 def phase_shift_dimensionless(profile: MotionProfile, beta, delta, eps, omega_t):
     """Slow phase shift in radians: ``FM * (delta*alpha'*omega*t - (delta/eps)*alpha)``."""
     wt = np.asarray(omega_t, dtype=float)
     alpha, ap = (np.asarray(v) for v in profile.eval(eps * wt, order=(0, 1)))
-    return _match(omega_t, _phase_shift(delta, eps, wt, alpha, ap, _fm(beta, delta, ap)))
+    return _match(_phase_shift(delta, eps, wt, alpha, ap, _fm(beta, delta, ap)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def lab_phase(motion: BoundaryMotion, medium: MediumParams, x, t,
     """
     group = validate(motion, medium)
     x = snap_to_boundary(motion, medium, x, t)
-    return _match(t, _lab_field(motion, medium, group, x, t, include_phase_shift)[0])
+    return _match(_lab_field(motion, medium, group, x, t, include_phase_shift)[0])
 
 
 def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
@@ -202,7 +202,7 @@ def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
     """
     group = validate(motion, medium)
     x = snap_to_boundary(motion, medium, x, t)
-    return _match(t, _lab_field(motion, medium, group, x, t, include_phase_shift)[3])
+    return _match(_lab_field(motion, medium, group, x, t, include_phase_shift)[3])
 
 
 def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,

@@ -85,7 +85,7 @@ def slow_characteristic(family: str, eta1, tau1, motion: BoundaryMotion,
     alpha, = motion.profile.eval(t1, order=(0,))
     sign = 1.0 if family == "plus" else -1.0
     s = (1.0 + sign * beta) * t1 + sign * delta * np.asarray(alpha) - sign * e1
-    return _match(tau1 if np.ndim(tau1) else eta1, s)
+    return _match(s)
 
 
 def transport_amplitude(family: str, eta1, tau1, motion: BoundaryMotion,
@@ -100,8 +100,7 @@ def transport_amplitude(family: str, eta1, tau1, motion: BoundaryMotion,
     # trajectory-time gate.
     ap_here, = motion.profile.eval_unchecked(s_here, order=(1,))
     ap_src, = motion.profile.eval_unchecked(s_src, order=(1,))
-    return _match(tau1 if np.ndim(tau1) else eta1,
-                  np.exp(-0.5 * delta * (np.asarray(ap_here) - np.asarray(ap_src))))
+    return _match(np.exp(-0.5 * delta * (np.asarray(ap_here) - np.asarray(ap_src))))
 
 
 def transport_solution(family: str, eta1: float, tau1: float,

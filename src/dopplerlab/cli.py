@@ -3,7 +3,8 @@
 Subcommands: ``fm``, ``am``, ``field``, ``compare``, ``figure``,
 ``spectrum``, ``appendix-check``.  Parameters (``figure``'s are fixed)
 come from an optional JSON config (see :mod:`dopplerlab.config`) with
-command-line flags overriding individual fields.  All numeric output is CSV
+command-line flags overriding individual fields; each command takes only
+the flags it reads (:data:`COMMANDS`).  All numeric output is CSV
 with 17 significant digits and LF line endings so repeated runs are
 byte-identical; plots are self-contained SVG.  Exit codes: 0 success,
 2 validation error, 3 numerical error, 4 I/O error.
@@ -82,17 +83,19 @@ def _out_dir(args) -> str:
 def _build_config(args) -> RunConfig:
     """The config file (or defaults), overridden by every flag that was given.
 
-    Flags share their names with :class:`RunConfig` fields; ``--eps`` takes
-    a comma list (its first value is ``eps``, the whole list ``eps_list``,
-    so it replaces a config's ``eps_list`` even when it is one value).
-    Every float of the result, from a flag or from JSON (which admits
-    ``NaN`` and ``Infinity``), must be finite.
+    A command has a flag for each :class:`RunConfig` field it reads
+    (:data:`COMMANDS`), named after the field; the config file may also set
+    fields the command ignores.  ``compare --eps`` takes a comma list: the
+    whole list is ``eps_list`` (so it replaces a config's ``eps_list`` even
+    when it is one value) and its first value ``eps``.  Every float of the
+    result, from a flag or from JSON (which admits ``NaN`` and
+    ``Infinity``), must be finite.
     """
     cfg = load_config(args.config) if args.config else RunConfig()
     updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                if getattr(args, f.name, None) is not None}
-    if "eps" in updates:
-        updates["eps_list"] = _parse_eps(updates["eps"])
+    if "eps_list" in updates:
+        updates["eps_list"] = _parse_eps(updates["eps_list"])
         updates["eps"] = updates["eps_list"][0]
     cfg = override(cfg, updates)
     for name in (f.name for f in fields(RunConfig)):
@@ -366,53 +369,72 @@ def cmd_appendix_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser.
+# Parser: one table says which flags each command takes.
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    flags = SCHEMA["flags"]
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--profile", choices=SCHEMA["motion"]["profile"])
-    parser.add_argument("--beta", type=float, help="mean velocity / wave speed")
-    parser.add_argument("--delta", type=float, help="acceleration ratio a*Omega/c")
-    parser.add_argument("--eps", help="frequency ratio Omega/omega (comma list for compare)")
-    parser.add_argument("--x", type=float,
-                        help="receiver position (compare: slow coordinate eps*omega*x/c)")
-    parser.add_argument("--t-min", dest="t_min", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--phase-shift", dest="phase_shift", choices=flags["phase_shift"],
-                        help="include the slowly varying phase shift (default off)")
-    parser.add_argument("--frame", choices=flags["frame"])
-    parser.add_argument("--source", choices=flags["source"])
-    parser.add_argument("--window", choices=flags["window"], help="spectral window")
-    parser.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
+#: ``add_argument`` keywords of every flag, keyed by its spelling.  argparse
+#: derives each destination from the spelling, so every flag but
+#: ``--config``, ``--out`` and ``figure``'s ``id`` sets the
+#: :class:`RunConfig` field of its name; choices are :data:`SCHEMA`'s.
+FLAGS = {
+    "--config": dict(help="JSON config file (it may hold keys this command does not read)"),
+    "--profile": dict(choices=SCHEMA["motion"]["profile"]),
+    "--beta": dict(type=float, help="mean velocity / wave speed"),
+    "--delta": dict(type=float, help="acceleration ratio a*Omega/c"),
+    "--eps": dict(type=float, help="frequency ratio Omega/omega"),
+    "--x": dict(type=float, help="receiver position"),
+    "--t-min": dict(type=float),
+    "--t-max": dict(type=float),
+    "--samples": dict(type=int),
+    "--phase-shift": dict(choices=SCHEMA["flags"]["phase_shift"],
+                          help="include the slowly varying phase shift (default off)"),
+    "--frame": dict(choices=SCHEMA["flags"]["frame"]),
+    "--source": dict(choices=SCHEMA["flags"]["source"]),
+    "--window": dict(choices=SCHEMA["flags"]["window"], help="spectral window"),
+    "--out": dict(help=f"output directory (default ${OUT_ENV_VAR} or ./out)"),
+    "id": dict(type=int, choices=(1, 2, 3, 4), metavar="id", help="plot number, 1-4"),
+}
+
+#: Keywords that replace :data:`FLAGS`' for one command's flag.
+FLAG_OVERRIDES = {
+    ("field", "--x"): dict(help="receiver position (moving frame: offset from the boundary)"),
+    ("compare", "--x"): dict(help="slow receiver coordinate eps*omega*x/c (default 0.1)"),
+    ("compare", "--eps"): dict(type=str, dest="eps_list", metavar="EPS[,EPS...]",
+                               help="frequency ratios Omega/omega to sweep"),
+}
+
+_RUN = ("--config", "--profile", "--beta", "--delta", "--eps")
+_WINDOW = ("--t-min", "--t-max", "--samples")
+_AM = _RUN + ("--x",) + _WINDOW
+
+#: Subcommand -> (handler, help, the flags of the fields it reads).  Every
+#: command also takes ``--out``; ``appendix-check`` accepts it but writes nothing.
+COMMANDS = {
+    "fm": (cmd_fm, "frequency modulation factor over a time window", _RUN + _WINDOW),
+    "am": (cmd_am, "amplitude modulation factor at a receiver", _AM),
+    "field": (cmd_field, "complex waveform at a receiver",
+              _AM + ("--phase-shift", "--frame", "--source")),
+    "compare": (cmd_compare, "asymptotic-vs-exact error table over eps",
+                _AM + ("--phase-shift",)),
+    "spectrum": (cmd_spectrum, "DFT spectrum of a receiver series",
+                 _AM + ("--phase-shift", "--source", "--window")),
+    "appendix-check": (cmd_appendix_check, "verify the transport envelope identity", _RUN),
+    "figure": (cmd_figure, "reproduce a published plot (1-4)", ("id",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per :data:`COMMANDS` row; argparse refuses any other flag (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="dopplerlab",
         description="Waves radiated by a moving boundary: modulation factors, "
                     "exact comparisons, figures, and spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, handler, desc in (
-            ("fm", cmd_fm, "frequency modulation factor over a time window"),
-            ("am", cmd_am, "amplitude modulation factor at a receiver"),
-            ("field", cmd_field, "complex waveform at a receiver"),
-            ("compare", cmd_compare, "asymptotic-vs-exact error table over eps"),
-            ("spectrum", cmd_spectrum, "DFT spectrum of a receiver series"),
-            ("appendix-check", cmd_appendix_check,
-             "verify the transport envelope identity")):
+    for name, (handler, desc, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=desc)
-        _add_common(p)
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **{**FLAGS[flag], **FLAG_OVERRIDES.get((name, flag), {})})
         p.set_defaults(handler=handler)
-
-    p = sub.add_parser("figure", help="reproduce a published plot (1-4)")
-    p.add_argument("id", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
-    p.set_defaults(handler=cmd_figure)
-
     return parser
 
 

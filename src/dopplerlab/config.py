@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from .errors import ConfigError
-from .motion import BoundaryMotion, MediumParams, MotionProfile
+from .motion import PROFILES, BoundaryMotion, MediumParams, MotionProfile
 from .signal import SOURCES, WINDOWS
 
-PROFILES = ("constant", "decelerating", "oscillatory")
 FRAMES = ("lab", "moving")
 ON_OFF = ("on", "off")
 #: Spectral window choice -> the name :func:`dopplerlab.signal.spectrum` takes.

@@ -12,7 +12,7 @@ adds the causal cone and the boundary rule for a receiver.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -25,6 +25,10 @@ from .errors import (
     ProfileEvaluationError,
     SupersonicMotion,
 )
+
+#: The built-in profile kinds; ``custom`` (:meth:`MotionProfile.custom`) is
+#: the only other kind.
+PROFILES = ("constant", "decelerating", "oscillatory")
 
 #: Number of sample points used for custom-profile normalization and
 #: subsonic-sup checks over the declared horizon.
@@ -68,7 +72,11 @@ class MotionProfile:
     """Normalized acceleration profile ``alpha`` with two derivatives.
 
     Use the classmethod constructors: :meth:`constant`, :meth:`decelerating`,
-    :meth:`oscillatory`, :meth:`custom`.
+    :meth:`oscillatory`, :meth:`custom`.  Construction raises
+    :class:`ArgumentOutOfRange` for a kind that is neither one of
+    :data:`PROFILES` nor ``custom``, for a ``custom`` profile built
+    without the ``slope_range`` that only :meth:`custom` computes, and for a
+    built-in profile given any of the custom fields, which it would ignore.
     """
 
     kind: str
@@ -79,6 +87,21 @@ class MotionProfile:
     #: (min, max) of alpha' sampled over [0, horizon]; filled in by
     #: :meth:`custom` so later validation never re-samples the callables.
     slope_range: Optional[tuple] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in PROFILES + ("custom",):
+            raise ArgumentOutOfRange(
+                f"unknown profile kind {self.kind!r}; choose from {PROFILES + ('custom',)}")
+        if self.kind == "custom" and self.slope_range is None:
+            raise ArgumentOutOfRange(
+                "build custom profiles with MotionProfile.custom(), which checks "
+                "their normalization")
+        custom_fields = (self.alpha, self.alpha_prime, self.alpha_pprime, self.horizon,
+                         self.slope_range)
+        if self.kind != "custom" and any(v is not None for v in custom_fields):
+            raise ArgumentOutOfRange(
+                f"the built-in {self.kind!r} profile takes no callables, horizon or "
+                f"slope range")
 
     @classmethod
     def constant(cls) -> "MotionProfile":
@@ -109,9 +132,11 @@ class MotionProfile:
             raise ArgumentOutOfRange(
                 f"custom profiles need a positive sampling horizon, got {horizon}"
             )
-        prof = cls(kind="custom", alpha=alpha, alpha_prime=alpha_prime,
-                   alpha_pprime=alpha_pprime, horizon=float(horizon))
-        a0 = prof.eval(0.0)[0]
+        at_zero = _call_custom((alpha, alpha_prime, alpha_pprime), 0.0)
+        if not np.all(np.isfinite(at_zero)):
+            raise ProfileEvaluationError("custom profile is not finite at argument 0.0",
+                                         argument=0.0)
+        a0 = at_zero[0]
         if abs(a0) > 1e-12:
             raise InvalidNormalization(f"alpha(0) must be 0, got {a0!r}")
         grid = np.linspace(0.0, horizon, NORMALIZATION_SAMPLES)
@@ -124,7 +149,9 @@ class MotionProfile:
                 f"max|alpha'| over [0, {horizon}] is {sup:.8g}, expected 1 "
                 f"within {NORMALIZATION_TOL}"
             )
-        return replace(prof, slope_range=(float(np.min(slopes)), float(np.max(slopes))))
+        return cls(kind="custom", alpha=alpha, alpha_prime=alpha_prime,
+                   alpha_pprime=alpha_pprime, horizon=float(horizon),
+                   slope_range=(float(np.min(slopes)), float(np.max(slopes))))
 
     def eval(self, arg, order=(0, 1, 2)):
         """Return the derivatives of ``alpha`` named in ``order`` at ``arg >= 0``.
@@ -168,7 +195,7 @@ class MotionProfile:
                 return _call_custom(callables, float(arr))
             return _map_custom(callables, arr)
         if self.kind == "constant":
-            z = _match(arg, np.zeros_like(arr))
+            z = _match(np.zeros_like(arr))
             return tuple(z for _ in order)
         if self.kind == "decelerating":
             e = np.exp(-arr)
@@ -176,7 +203,7 @@ class MotionProfile:
         else:  # oscillatory
             sin = np.sin(arr) if 0 in order or 2 in order else None
             forms = (lambda: sin, lambda: np.cos(arr), lambda: -sin)
-        return tuple(_match(arg, forms[k]()) for k in order)
+        return tuple(_match(forms[k]()) for k in order)
 
 
 def _call_custom(callables, u: float) -> tuple:
@@ -238,13 +265,13 @@ class DimensionlessGroup(NamedTuple):
 def boundary_position(motion: BoundaryMotion, t):
     """``X_s(t) = v*t + a*alpha(Omega*t)``; zero at ``t = 0``."""
     alpha, = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float), order=(0,))
-    return _match(t, motion.v * np.asarray(t, dtype=float) + motion.a * np.asarray(alpha))
+    return _match(motion.v * np.asarray(t, dtype=float) + motion.a * np.asarray(alpha))
 
 
 def boundary_velocity(motion: BoundaryMotion, t):
     """``dX_s/dt = v + a*Omega*alpha'(Omega*t)``."""
     ap, = motion.profile.eval(motion.Omega * np.asarray(t, dtype=float), order=(1,))
-    return _match(t, motion.v + motion.a * motion.Omega * np.asarray(ap))
+    return _match(motion.v + motion.a * motion.Omega * np.asarray(ap))
 
 
 def time_window(motion: BoundaryMotion, medium: MediumParams, ts) -> None:
@@ -296,7 +323,7 @@ def _snap(motion: BoundaryMotion, medium: MediumParams, x, t):
             f"x={float(np.broadcast_to(xa, lag.shape).flat[worst])} lies "
             f"{lag.flat[worst]:.3g} behind the boundary at "
             f"t={float(np.broadcast_to(t, lag.shape).flat[worst])}")
-    return _match(lag, np.maximum(xa, xs))
+    return _match(np.maximum(xa, xs))
 
 
 def before_arrival(medium: MediumParams, x: float, t: float) -> bool:
@@ -375,8 +402,7 @@ def validate(motion: BoundaryMotion, medium: MediumParams) -> DimensionlessGroup
     return DimensionlessGroup(beta, delta, eps)
 
 
-def _match(template, value):
-    """Return ``value`` as a scalar when ``template`` is scalar-like."""
-    if np.ndim(template) == 0:
-        return float(np.asarray(value))
-    return np.asarray(value)
+def _match(value):
+    """``value`` as a float when it is 0-d, else as an array of its shape."""
+    value = np.asarray(value)
+    return float(value) if value.ndim == 0 else value

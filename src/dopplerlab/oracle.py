@@ -160,18 +160,23 @@ def _newton(motion: BoundaryMotion, medium: MediumParams, x: float, t: np.ndarra
 
 
 def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float, ts):
-    """:func:`_solve_retarded` to ``1e-12/omega`` that raises :class:`NoConvergence` on a stall."""
+    """:func:`_solve_retarded` to ``1e-12/omega`` that raises :class:`NoConvergence` on a stall.
+
+    ``ts`` may have any shape: the solve runs on its flattened grid (a view
+    when ``ts`` is contiguous) and the results take the shape of ``ts``.
+    """
     tol = DEFAULT_TOL_SCALE / medium.omega
     ts = np.asarray(ts, dtype=float)
-    te, resid, iters = _solve_retarded(motion, medium, x, ts, tol)
+    flat = ts.ravel()
+    te, resid, iters = _solve_retarded(motion, medium, x, flat, tol)
     worst = int(np.argmax(resid))
     if not resid[worst] <= tol:  # a NaN residual stalls too
         raise NoConvergence(
             f"retarded-time solve stalled at residual {resid[worst]:.3g} "
             f"(> {tol:.3g}) after {iters[worst]} iterations for "
-            f"(x={x}, t={ts[worst]})"
+            f"(x={x}, t={flat[worst]})"
         )
-    return te, resid, iters
+    return te.reshape(ts.shape), resid.reshape(ts.shape), iters.reshape(ts.shape)
 
 
 def _exact_field(motion: BoundaryMotion, medium: MediumParams, group, x: float, ts,

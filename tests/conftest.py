@@ -1,8 +1,11 @@
 """Shared fixtures and builders for the test suite."""
 
+import argparse
+
 import numpy as np
 import pytest
 
+from dopplerlab.cli import build_parser
 from dopplerlab.motion import BoundaryMotion, MediumParams, MotionProfile
 
 
@@ -16,6 +19,12 @@ def make_motion(profile: str, beta: float, delta: float, eps: float,
     big_omega = eps * omega
     a = delta * c / big_omega
     return BoundaryMotion(v=beta * c, a=a, Omega=big_omega, profile=prof)
+
+
+def cli_subparsers() -> dict:
+    """Command name -> its subparser, as :func:`dopplerlab.cli.build_parser` builds it."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.fixture

@@ -21,6 +21,28 @@ from dopplerlab.motion import MediumParams, boundary_position
 from conftest import make_motion
 
 
+#: Entry points that take a receiver ``x`` and times ``t`` that broadcast.
+RECEIVER_CALLS = {
+    "am_factor": am_factor,
+    "lab_phase": lambda m, medium, x, t: lab_phase(m, medium, x, t, True),
+    "lab_phase_rate": lambda m, medium, x, t: lab_phase_rate(m, medium, x, t, True),
+}
+
+
+class TestArrayReceiverScalarTime:
+    @pytest.mark.parametrize("x", [[5.0], [5.0, 6.5, 9.0], np.array([4.0, 7.0])],
+                             ids=["one", "list", "array"])
+    @pytest.mark.parametrize("name", RECEIVER_CALLS)
+    def test_matches_pointwise_scalar_calls(self, medium, name, x):
+        m = make_motion("oscillatory", beta=0.1, delta=0.2, eps=0.1)
+        call = RECEIVER_CALLS[name]
+        got = call(m, medium, x, 8.0)
+        assert isinstance(got, np.ndarray) and got.shape == (len(x),)
+        want = [call(m, medium, float(xi), 8.0) for xi in x]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 class TestClassicalDoppler:
     def test_approaching_at_half_speed(self):
         assert classical_doppler(1000.0, 0.5) == 2000.0

@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
-import argparse
 import dataclasses
 import json
 import math
 import os
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from dopplerlab.cli import main
 from dopplerlab.config import SCHEMA, RunConfig
 from dopplerlab.motion import MediumParams
 
-from conftest import make_motion
+from conftest import cli_subparsers, make_motion
 
 
 def run(args):
@@ -165,15 +166,15 @@ class TestValidationGate:
         assert "error: BAD_CONFIG:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["field", "--source", "oracle"],
-                                         ["field", "--source", "asymptotic"],
-                                         ["field", "--frame", "moving"], ["fm"]],
+    @pytest.mark.parametrize("command", [["field", "--source", "oracle", "--x", "5"],
+                                         ["field", "--source", "asymptotic", "--x", "5"],
+                                         ["field", "--frame", "moving", "--x", "5"], ["fm"]],
                              ids=["oracle", "asymptotic", "moving", "fm"])
     def test_time_past_phase_resolution_rejected(self, tmp_path, capsys, command):
         # One ulp of t near 1e17 is 16: the boundary's phase shift rounds away.
         out = tmp_path / "never"
         code = run([*command, "--profile", "oscillatory",
-                    "--delta", "0.2", "--eps", "0.1", "--x", "5",
+                    "--delta", "0.2", "--eps", "0.1",
                     "--t-min", "1e17", "--t-max", "2e17", "--out", str(out)])
         assert code == 2
         assert "error: ARG_OUT_OF_RANGE:" in capsys.readouterr().err
@@ -189,15 +190,16 @@ class TestValidationGate:
 
 
 class TestEpsWarning:
-    @pytest.mark.parametrize("command", [["fm"], ["am"], ["field"],
-                                         ["field", "--frame", "moving"], ["spectrum"]],
+    @pytest.mark.parametrize("command", [["fm"], ["am", "--x", "1"], ["field", "--x", "1"],
+                                         ["field", "--frame", "moving", "--x", "1"],
+                                         ["spectrum", "--x", "1"]],
                              ids=["fm", "am", "field-lab", "field-moving", "spectrum"])
     def test_printed_once(self, out_dir, command):
         with warnings.catch_warnings(record=True) as caught:
             # The filter a plain command line runs with: one print per location.
             warnings.simplefilter("default")
             assert run([*command, "--profile", "oscillatory", "--beta", "0",
-                        "--delta", "0.1", "--eps", "0.5", "--x", "1",
+                        "--delta", "0.1", "--eps", "0.5",
                         "--t-min", "1", "--t-max", "20"]) == 0
         assert [str(w.message) for w in caught] == [
             "eps=0.5 > 0.3: leading-order accuracy degrades"]
@@ -330,17 +332,124 @@ class TestAppendixCheck:
         assert not out_dir.exists()
 
 
+FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+#: Run parameters no flag sets: only a config file does.
+CONFIG_ONLY = {"omega", "c"}
+
+_FM = {"--config", "--profile", "--beta", "--delta", "--eps",
+       "--t-min", "--t-max", "--samples", "--out"}
+
+#: Every option each command takes: 64 in all.
+COMMAND_FLAGS = {
+    "fm": _FM,
+    "am": _FM | {"--x"},
+    "field": _FM | {"--x", "--phase-shift", "--frame", "--source"},
+    "compare": _FM | {"--x", "--phase-shift"},
+    "spectrum": _FM | {"--x", "--phase-shift", "--source", "--window"},
+    "appendix-check": {"--config", "--profile", "--beta", "--delta", "--eps", "--out"},
+    "figure": {"id", "--out"},
+}
+
+_MOTION = ["--profile", "oscillatory", "--beta", "0", "--delta", "0.2", "--eps", "0.1"]
+
+#: Command lines that succeed and, together, give every flag of each command.
+RUNS = {
+    "fm": [["fm", *_MOTION, "--t-min", "0", "--t-max", "10", "--samples", "11"]],
+    "am": [["am", *_MOTION, "--x", "5", "--t-min", "5", "--t-max", "30", "--samples", "11"]],
+    "field": [["field", *_MOTION, "--x", "5", "--t-min", "5", "--t-max", "30",
+               "--samples", "11", "--phase-shift", "on", "--frame", "lab",
+               "--source", "oracle"],
+              ["field", *_MOTION, "--x", "1", "--t-min", "0", "--t-max", "30",
+               "--samples", "11", "--frame", "moving"]],
+    "compare": [["compare", *_MOTION[:-1], "0.1,0.05", "--x", "0.3", "--t-min", "7",
+                 "--t-max", "30", "--samples", "11", "--phase-shift", "on"]],
+    "spectrum": [["spectrum", *_MOTION, "--x", "5", "--t-min", "5", "--t-max", "319.2",
+                  "--samples", "256", "--phase-shift", "on", "--source", "oracle",
+                  "--window", "hann"]],
+    "appendix-check": [["appendix-check", *_MOTION]],
+}
+
+#: The 22 (command, flag) pairs of a flag some other command reads and this
+#: one does not: each is refused.
+UNREAD = ([("fm", f) for f in ("--x", "--phase-shift", "--frame", "--source", "--window")]
+          + [("am", f) for f in ("--phase-shift", "--frame", "--source", "--window")]
+          + [("field", "--window")]
+          + [("compare", f) for f in ("--frame", "--source", "--window")]
+          + [("spectrum", "--frame")]
+          + [("appendix-check", f) for f in ("--x", "--t-min", "--t-max", "--samples",
+                                             "--phase-shift", "--frame", "--source",
+                                             "--window")])
+FLAG_VALUES = {"--x": "5", "--t-min": "5", "--t-max": "30", "--samples": "11",
+               "--phase-shift": "on", "--frame": "moving", "--source": "oracle",
+               "--window": "hann"}
+
+
 class TestParser:
     def test_flags_follow_run_config_and_schema(self):
-        parser = argparse.ArgumentParser()
-        cli_mod._add_common(parser)
-        actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config", "out")}
-        assert set(actions) <= {f.name for f in dataclasses.fields(RunConfig)}
         kinds = {key: kind for table in SCHEMA.values() for key, kind in table.items()}
         choices = {key for key, kind in kinds.items() if isinstance(kind, tuple)}
-        assert choices <= set(actions)
-        for dest, action in actions.items():
-            assert action.choices is (kinds[dest] if dest in choices else None), dest
+        seen = set()
+        for name, sub in cli_subparsers().items():
+            actions = {a.dest: a for a in sub._actions
+                       if a.dest not in ("help", "config", "out", "id")}
+            assert set(actions) <= FIELDS, name
+            seen |= set(actions)
+            for dest, action in actions.items():
+                assert action.choices is (kinds[dest] if dest in choices else None), dest
+        assert choices <= seen
+        assert seen | CONFIG_ONLY == FIELDS
+
+    def test_option_slots(self):
+        assert sum(len(sub._actions) - 1 for sub in cli_subparsers().values()) == 64  # no -h
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_help_lists_exactly_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^  ([^\s,]+)", capsys.readouterr().out, re.M))
+        assert listed - {"-h"} == COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_reads_exactly_the_fields_its_flags_set(self, out_dir, monkeypatch, command):
+        reads = set()
+
+        class Recording(RunConfig):
+            def __getattribute__(self, name):
+                # dataclasses.replace copies every field: that is not a read.
+                if (name in FIELDS
+                        and sys._getframe(1).f_globals.get("__name__") != "dataclasses"):
+                    reads.add(name)
+                return object.__getattribute__(self, name)
+
+        real = cli_mod._build_config
+        monkeypatch.setattr(cli_mod, "_build_config",
+                            lambda args: Recording(**dataclasses.asdict(real(args))))
+        for argv in RUNS[command]:
+            assert run(argv) == 0
+        sets = {a.dest for a in cli_subparsers()[command]._actions} & FIELDS
+        if "eps_list" in sets:  # compare --eps sets the list and its first value
+            sets.add("eps")
+        assert reads - CONFIG_ONLY == sets
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[" ".join(p) for p in UNREAD])
+    def test_unread_flag_refused(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run([*RUNS[command][0], flag, FLAG_VALUES[flag], "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [c for c in RUNS if c != "compare"])
+    def test_eps_list_only_for_compare(self, tmp_path, capsys, command):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run([*RUNS[command][0], "--eps", "0.1,0.05", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --eps: invalid float value: '0.1,0.05'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputLocation:

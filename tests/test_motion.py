@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dopplerlab.config as config_mod
+import dopplerlab.motion as motion_mod
 from dopplerlab.asymptotics import am_factor, lab_phase, leading_order_field
 from dopplerlab.errors import (
     ArgumentOutOfRange,
@@ -330,6 +332,35 @@ class TestConstruction:
             MediumParams(omega=0.0, c=1.0)
         with pytest.raises(ArgumentOutOfRange):
             MediumParams(omega=1.0, c=-2.0)
+
+    def test_unknown_profile_kind_rejected(self):
+        with pytest.raises(ArgumentOutOfRange, match="unknown profile kind 'bogus'"):
+            MotionProfile(kind="bogus")
+
+    def test_custom_kind_needs_the_custom_constructor(self):
+        # Built directly, the callables would skip custom()'s normalization.
+        with pytest.raises(ArgumentOutOfRange, match=r"MotionProfile\.custom\(\)"):
+            MotionProfile(kind="custom", alpha=math.sin, alpha_prime=math.cos,
+                          alpha_pprime=lambda u: -math.sin(u), horizon=1.0)
+
+    @pytest.mark.parametrize("kind", motion_mod.PROFILES)
+    def test_builtin_kind_refuses_custom_fields(self, kind):
+        with pytest.raises(ArgumentOutOfRange, match="takes no callables"):
+            MotionProfile(kind=kind, alpha=math.sin)
+        with pytest.raises(ArgumentOutOfRange, match="takes no callables"):
+            MotionProfile(kind=kind, horizon=5.0)
+
+    @pytest.mark.parametrize("alpha_pprime", [lambda u: math.nan, None],
+                             ids=["non-finite", "not-callable"])
+    def test_custom_checks_every_callable_at_zero_first(self, alpha_pprime):
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            MotionProfile.custom(math.sin, math.cos, alpha_pprime, horizon=1.0)
+        assert excinfo.value.argument == 0.0
+
+    def test_config_takes_the_kinds_from_motion(self):
+        assert config_mod.PROFILES is motion_mod.PROFILES
+        for kind in motion_mod.PROFILES:
+            assert getattr(MotionProfile, kind)().kind == kind
 
     def test_motion_requires_positive_rate(self):
         with pytest.raises(ArgumentOutOfRange):

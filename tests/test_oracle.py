@@ -180,6 +180,23 @@ class TestSolver:
         assert np.max(np.abs(te_twin - te_builtin)) <= 1e-12
 
 
+    def test_one_dimensional_grid_reaches_the_solver_uncopied(self, medium, monkeypatch):
+        m = make_motion("oscillatory", beta=0.1, delta=0.2, eps=0.1)
+        ts = np.linspace(6.0, 40.0, 101)
+        seen = []
+        real = oracle_mod._solve_retarded
+
+        def spy(motion, medium, x, grid, tol):
+            seen.append(grid)
+            return real(motion, medium, x, grid, tol)
+
+        monkeypatch.setattr(oracle_mod, "_solve_retarded", spy)
+        te = oracle_mod._solve_checked(m, medium, 6.0, ts)[0]
+        assert te.shape == ts.shape
+        (grid,) = seen
+        assert np.shares_memory(grid, ts)
+
+
 class TestRoundTrip:
     """Emission grids through the explicit map ``t(S)`` and back, no solver as reference.
 

@@ -83,6 +83,18 @@ class TestOnePath:
             assert exact_instantaneous_frequency(m, medium, x, t) == medium.omega * fm[0]
 
 
+    @pytest.mark.parametrize("source", ["asymptotic", "oracle"])
+    def test_two_dimensional_grid_is_the_flat_grid_reshaped(self, source, medium):
+        m = make_motion("oscillatory", beta=0.1, delta=0.2, eps=0.1)
+        ts = np.linspace(6.0, 40.0, 6)
+        flat, flat_fm = sample_on_grid(source, m, medium, 6.0, ts, True, with_fm=True)
+        grid, fm = sample_on_grid(source, m, medium, 6.0, ts.reshape(2, 3), True,
+                                  with_fm=True)
+        assert grid.shape == fm.shape == (2, 3)
+        np.testing.assert_array_equal(grid, flat.reshape(2, 3))
+        np.testing.assert_array_equal(fm, flat_fm.reshape(2, 3))
+
+
 class TestInstantaneousFrequency:
     def test_pure_tone(self):
         w0, dt = 0.7, 0.3
