@@ -98,20 +98,22 @@ def _phase_shift(delta, eps, omega_t, alpha, ap, fm):
 
 
 def _lab_field(motion: BoundaryMotion, medium: MediumParams, group, x, t,
-               include_phase_shift: bool):
+               include_phase_shift: bool, with_rate: bool = False):
     """``(phase, am, fm, rate)`` of the field ``am*exp(i*phase)`` at ``x`` over ``t``.
 
     ``phase = FM*omega*[t - x/c - shift(t)]``, the slow shift
     ``delta*alpha'*t - (delta/Omega)*alpha`` zeroed unless the flag is set;
-    ``rate`` is its analytic time derivative.  No checks.  AM is evaluated
-    while only the one profile evaluation is alive, so grids peak no higher
-    than the solver does.
+    ``rate`` is its analytic time derivative, computed (with ``alpha''``)
+    only when ``with_rate`` is set and None otherwise.  No checks.  AM is
+    evaluated while only the one profile evaluation is alive, so grids peak
+    no higher than the solver does.
     """
     beta, delta, eps = group
     omega, Omega = medium.omega, motion.Omega
     t = np.asarray(t, dtype=float)
     slow_t = Omega * t
-    alpha, ap, app = (np.asarray(v) for v in motion.profile.eval(slow_t))
+    alpha, ap, *app = (np.asarray(v) for v in motion.profile.eval(
+        slow_t, order=(0, 1, 2) if with_rate else (0, 1)))
     am = _am(motion.profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha)
     del slow_t
     fm = _fm(beta, delta, ap)
@@ -119,8 +121,10 @@ def _lab_field(motion: BoundaryMotion, medium: MediumParams, group, x, t,
     if include_phase_shift:
         bracket = bracket - (delta * ap * t - (delta / Omega) * alpha)
     del alpha, ap
-    anchor = t if include_phase_shift else 0.0
-    rate = omega * fm + omega * (delta * Omega * app) * fm * (fm * bracket - anchor)
+    rate = None
+    if with_rate:
+        anchor = t if include_phase_shift else 0.0
+        rate = omega * fm + omega * (delta * Omega * app[0]) * fm * (fm * bracket - anchor)
     return fm * omega * bracket, am, fm, rate
 
 
@@ -202,7 +206,8 @@ def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
     """
     group = validate(motion, medium)
     x = snap_to_boundary(motion, medium, x, t)
-    return _match(_lab_field(motion, medium, group, x, t, include_phase_shift)[3])
+    return _match(_lab_field(motion, medium, group, x, t, include_phase_shift,
+                             with_rate=True)[3])
 
 
 def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,

@@ -4,15 +4,17 @@ Subcommands: ``fm``, ``am``, ``field``, ``compare``, ``figure``,
 ``spectrum``, ``appendix-check``.  Parameters (``figure``'s are fixed)
 come from an optional JSON config (see :mod:`dopplerlab.config`) with
 command-line flags overriding individual fields; each command takes only
-the flags it reads (:data:`COMMANDS`).  All numeric output is CSV
-with 17 significant digits and LF line endings so repeated runs are
-byte-identical; plots are self-contained SVG.  Exit codes: 0 success,
-2 validation error, 3 numerical error, 4 I/O error.
+the flags it reads (:data:`COMMANDS`).  A command computes its whole
+output first and :func:`_land` writes the set, all or none.  All numeric
+output is CSV with 17 significant digits and LF line endings so repeated
+runs are byte-identical; plots are self-contained SVG.  Exit codes:
+0 success, 2 validation error, 3 numerical error, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -72,12 +74,6 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -
             yield (row * len(block)) % tuple(block.ravel().tolist())
 
     write_text(path, text())
-
-
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get(OUT_ENV_VAR) or "./out"
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _build_config(args) -> RunConfig:
@@ -141,41 +137,52 @@ def _window(cfg: RunConfig, t_min: Optional[float] = None,
     return t_lo, t_hi, cfg.samples
 
 
+def _land(args, rows) -> List[str]:
+    """Write a command's whole file set, all or none; the paths in row order.
+
+    ``rows`` are ``(name, writer, *writer_args)``, each written in order as
+    ``writer(path, *writer_args)`` at its final path under ``--out``, else
+    ``$DOPPLER_LAB_OUT``, else ``./out`` (made here, so a command that
+    fails before writing leaves no directory).  If a write fails, the files
+    already written are removed, a same-named file they had replaced
+    included, and the error propagates (an :class:`OSError` exits 4).
+    """
+    out = args.out or os.environ.get(OUT_ENV_VAR) or "./out"
+    os.makedirs(out, exist_ok=True)
+    written = []
+    try:
+        for name, writer, *writer_args in rows:
+            path = os.path.join(out, name)
+            writer(path, *writer_args)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return written
+
+
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands: each computes its whole output, then hands it to _land.
 # ---------------------------------------------------------------------------
 
-def cmd_fm(args) -> int:
-    cfg = _build_config(args)
-    medium = cfg.medium()
-    motion = cfg.boundary_motion()
+def cmd_fm(args, cfg, medium, motion) -> None:
     ts = np.linspace(*_window(cfg))
     fm = fm_factor(motion, medium, ts)
-    out = _out_dir(args)
-    path = os.path.join(out, "fm.csv")
-    write_csv(path, ["t", "fm"], [ts, fm])
+    path, = _land(args, [("fm.csv", write_csv, ["t", "fm"], [ts, fm])])
     print(f"fm: {len(ts)} samples, range [{np.min(fm):.6g}, {np.max(fm):.6g}] -> {path}")
-    return 0
 
 
-def cmd_am(args) -> int:
-    cfg = _build_config(args)
-    medium = cfg.medium()
-    motion = cfg.boundary_motion()
+def cmd_am(args, cfg, medium, motion) -> None:
     x = _require(cfg, "x")
     ts = np.linspace(*_window(cfg))
     am = am_factor(motion, medium, x, ts)
-    out = _out_dir(args)
-    path = os.path.join(out, "am.csv")
-    write_csv(path, ["t", "am"], [ts, am])
+    path, = _land(args, [("am.csv", write_csv, ["t", "am"], [ts, am])])
     print(f"am: {len(ts)} samples, range [{np.min(am):.6g}, {np.max(am):.6g}] -> {path}")
-    return 0
 
 
-def cmd_field(args) -> int:
-    cfg = _build_config(args)
-    medium = cfg.medium()
-    motion = cfg.boundary_motion()
+def cmd_field(args, cfg, medium, motion) -> None:
     x = _require(cfg, "x")
     ts = np.linspace(*_window(cfg))
     omega = medium.omega
@@ -194,18 +201,15 @@ def cmd_field(args) -> int:
                                                cfg.phase_shift, with_fm=True)
         reference = np.cos(omega * (ts - x / medium.c))
 
-    out = _out_dir(args)
-    path = os.path.join(out, "field.csv")
-    write_csv(path, ["t", "re", "im", "am", "fm", "reference"],
-              [ts, values.real, values.imag, np.abs(values), fm, reference])
+    path, = _land(args, [("field.csv", write_csv,
+                          ["t", "re", "im", "am", "fm", "reference"],
+                          [ts, values.real, values.imag, np.abs(values), fm, reference])])
     print(f"field ({cfg.frame} frame, {cfg.source} source): "
           f"{len(ts)} samples -> {path}")
-    return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _build_config(args)
-    medium = cfg.medium()
+def cmd_compare(args, cfg, medium, _) -> None:
+    # Each eps of the sweep has its own motion.
     eps_list = cfg.eps_list or [cfg.eps]
     slow_x = cfg.x if cfg.x is not None else 0.1
     omega = medium.omega
@@ -223,21 +227,18 @@ def cmd_compare(args) -> int:
         rows.append((eps, report.max_phase_error, report.max_freq_rel_error,
                      report.max_modulus_error))
 
-    out = _out_dir(args)
-    path = os.path.join(out, "compare.csv")
-    cols = list(zip(*rows))
-    write_csv(path, ["eps", "max_phase_err", "max_freq_rel_err", "max_modulus_err"],
-              [np.asarray(c) for c in cols])
+    path, = _land(args, [("compare.csv", write_csv,
+                          ["eps", "max_phase_err", "max_freq_rel_err", "max_modulus_err"],
+                          list(zip(*rows)))])
     print(f"{'eps':>8} {'max_phase_err':>16} {'max_freq_rel_err':>18} "
           f"{'max_modulus_err':>17}")
     for eps, ph, fr, mo in rows:
         print(f"{eps:>8.4g} {ph:>16.6e} {fr:>18.6e} {mo:>17.6e}")
     print(f"-> {path}")
-    return 0
 
 
-def _figure_modulation(fig_id: int, out: str) -> List[str]:
-    """FM/AM curve families (plots 1 and 3)."""
+def _figure_modulation(fig_id: int) -> list:
+    """FM/AM curve families (plots 1 and 3): the rows of their three files."""
     profile = MotionProfile.decelerating() if fig_id == 1 else MotionProfile.oscillatory()
     deltas = FIGURE_DELTAS[fig_id]
     wt = np.linspace(0.0, 300.0, 601)
@@ -245,30 +246,26 @@ def _figure_modulation(fig_id: int, out: str) -> List[str]:
                  for d in deltas]
     am_curves = [am_dimensionless(profile, FIGURE_BETA, d, FIGURE_EPS, FIGURE_AM_X, wt)
                  for d in deltas]
-    name = f"fig{fig_id}"
-    csv_path = os.path.join(out, f"{name}.csv")
     header = (["omega_t"]
               + [f"fm({d:g})" for d in deltas]
               + [f"am({d:g})" for d in deltas])
-    write_csv(csv_path, header, [wt] + fm_curves + am_curves)
-    fm_svg = os.path.join(out, f"{name}_fm.svg")
-    am_svg = os.path.join(out, f"{name}_am.svg")
-    line_plot(fm_svg, "Frequency modulation factor", "omega t", "FM", wt,
-              [(f"delta = {d:g}", curve, style)
-               for d, curve, style in zip(deltas, fm_curves, FIGURE_STYLES)])
-    line_plot(am_svg, f"Amplitude modulation factor at omega x/c = {FIGURE_AM_X:g}",
-              "omega t", "AM", wt,
-              [(f"delta = {d:g}", curve, style)
-               for d, curve, style in zip(deltas, am_curves, FIGURE_STYLES)])
-    return [csv_path, fm_svg, am_svg]
+    def plot(tag, title, curves):
+        return (f"fig{fig_id}_{tag}.svg", line_plot, title, "omega t", tag.upper(), wt,
+                [(f"delta = {d:g}", curve, style)
+                 for d, curve, style in zip(deltas, curves, FIGURE_STYLES)])
+
+    return [(f"fig{fig_id}.csv", write_csv, header, [wt] + fm_curves + am_curves),
+            plot("fm", "Frequency modulation factor", fm_curves),
+            plot("am", f"Amplitude modulation factor at omega x/c = {FIGURE_AM_X:g}",
+                 am_curves)]
 
 
-def _figure_waveform(fig_id: int, out: str) -> List[str]:
-    """Waveform + envelope + stationary reference (plots 2 and 4)."""
+def _figure_waveform(fig_id: int) -> list:
+    """Waveform + envelope + stationary reference (plots 2 and 4): near and far rows."""
     profile = (MotionProfile.decelerating() if fig_id == 2
                else MotionProfile.oscillatory())
     delta = FIGURE_WAVE_DELTA[fig_id]
-    written = []
+    rows = []
     for x_c, tag in zip(FIGURE_WAVE_X, ("near", "far")):
         wt = np.linspace(x_c, x_c + 60.0, 1201)
         fm = np.asarray(fm_dimensionless(profile, FIGURE_BETA, delta, FIGURE_EPS, wt))
@@ -278,37 +275,24 @@ def _figure_waveform(fig_id: int, out: str) -> List[str]:
         waveform = am * np.cos(fm * (wt - x_c))
         reference = np.cos(wt - x_c)
         name = f"fig{fig_id}_{tag}"
-        csv_path = os.path.join(out, f"{name}.csv")
-        write_csv(csv_path, ["omega_t", "waveform", "envelope", "reference"],
-                  [wt, waveform, am, reference])
-        svg_path = os.path.join(out, f"{name}.svg")
-        line_plot(svg_path, f"Received waveform at omega x/c = {x_c:g}",
-                  "omega t", "Re U",
-                  wt,
-                  [("waveform", waveform, "solid"),
-                   ("envelope", am, "dashed"),
-                   (None, -am, "dashed"),
-                   ("stationary reference", reference, "dotted")])
-        written.extend([csv_path, svg_path])
-    return written
+        rows.append((f"{name}.csv", write_csv, ["omega_t", "waveform", "envelope", "reference"],
+                     [wt, waveform, am, reference]))
+        rows.append((f"{name}.svg", line_plot, f"Received waveform at omega x/c = {x_c:g}",
+                     "omega t", "Re U", wt,
+                     [("waveform", waveform, "solid"),
+                      ("envelope", am, "dashed"),
+                      (None, -am, "dashed"),
+                      ("stationary reference", reference, "dotted")]))
+    return rows
 
 
-def cmd_figure(args) -> int:
-    out = _out_dir(args)
-    fig_id = args.id
-    if fig_id in (1, 3):
-        written = _figure_modulation(fig_id, out)
-    else:
-        written = _figure_waveform(fig_id, out)
-    for path in written:
-        print(f"figure {fig_id}: wrote {path}")
-    return 0
+def cmd_figure(args) -> None:
+    rows = (_figure_modulation if args.id in (1, 3) else _figure_waveform)(args.id)
+    for path in _land(args, rows):
+        print(f"figure {args.id}: wrote {path}")
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _build_config(args)
-    medium = cfg.medium()
-    motion = cfg.boundary_motion()
+def cmd_spectrum(args, cfg, medium, motion) -> None:
     x = _require(cfg, "x")
     t_lo, t_hi, n = _window(cfg, t_min=x / medium.c)
     dt = (t_hi - t_lo) / n
@@ -320,32 +304,19 @@ def cmd_spectrum(args) -> int:
 
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
     order = np.argsort(freqs)
-    centers = freqs[order]
-    mags = spec.magnitudes[order]
-
-    out = _out_dir(args)
-    path = os.path.join(out, "spectrum.csv")
-    write_csv(path, ["bin_center", "magnitude"], [centers, mags])
-    peaks_path = os.path.join(out, "spectrum_peaks.csv")
-    if spec.peaks:
-        pk_f, pk_m = zip(*spec.peaks)
-    else:
-        pk_f, pk_m = (), ()
-    write_csv(peaks_path, ["bin_center", "magnitude"],
-              [np.asarray(pk_f), np.asarray(pk_m)])
+    header = ["bin_center", "magnitude"]
+    path, peaks_path = _land(args, [
+        ("spectrum.csv", write_csv, header, [freqs[order], spec.magnitudes[order]]),
+        ("spectrum_peaks.csv", write_csv, header, list(zip(*spec.peaks)) or [(), ()])])
     print(f"spectrum: {n} samples, bin width {spec.bin_width:.6g}, "
           f"{len(spec.peaks)} peaks -> {path}")
     print(f"{'bin_center':>14} {'magnitude':>14}")
     for freq, mag in spec.peaks[:12]:
         print(f"{freq:>14.6g} {mag:>14.6g}")
     print(f"-> {peaks_path}")
-    return 0
 
 
-def cmd_appendix_check(args) -> int:
-    cfg = _build_config(args)
-    medium = cfg.medium()
-    motion = cfg.boundary_motion()
+def cmd_appendix_check(args, cfg, medium, motion) -> None:
     beta, delta, eps = validate(motion, medium)
     omega = medium.omega
 
@@ -365,7 +336,6 @@ def cmd_appendix_check(args) -> int:
     if not max_diff < APPENDIX_TOL:
         raise IdentityMismatch(f"{summary} exceeds {APPENDIX_TOL:g}")
     print(f"appendix-check: {summary} -> PASS")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +377,10 @@ _RUN = ("--config", "--profile", "--beta", "--delta", "--eps")
 _WINDOW = ("--t-min", "--t-max", "--samples")
 _AM = _RUN + ("--x",) + _WINDOW
 
-#: Subcommand -> (handler, help, the flags of the fields it reads).  Every
-#: command also takes ``--out``; ``appendix-check`` accepts it but writes nothing.
+#: Subcommand -> (handler, help, the flags of the fields it reads).  A
+#: command that takes ``--config`` is called with the run's ``(cfg, medium,
+#: motion)``, built once by :func:`main`.  Every command also takes
+#: ``--out``; ``appendix-check`` accepts it but writes nothing.
 COMMANDS = {
     "fm": (cmd_fm, "frequency modulation factor over a time window", _RUN + _WINDOW),
     "am": (cmd_am, "amplitude modulation factor at a receiver", _AM),
@@ -434,15 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         for flag in flags + ("--out",):
             p.add_argument(flag, **{**FLAGS[flag], **FLAG_OVERRIDES.get((name, flag), {})})
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # reported with the command's own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        return args.handler(args)
+        run = ()
+        if "--config" in COMMANDS[args.command][2]:
+            cfg = _build_config(args)
+            run = (cfg, cfg.medium(), cfg.boundary_motion())
+        args.handler(args, *run)
+        return 0
     except DopplerLabError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

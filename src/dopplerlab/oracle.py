@@ -10,7 +10,8 @@ which the multiple-scales approximation is measured.
 One vectorised solver, :func:`_solve_retarded`, serves every profile,
 built-in or custom.  Its inverse, ``t(S) = x/c + S - X_s(S)/c``, is
 explicit and strictly increasing, so the solver first solves the two
-window ends from the uniform-motion guess ``(t - x/c)/(1 - beta)``,
+window ends from the uniform-motion guess ``(t - x/c)/(1 - beta)``
+(a grid of at most two points is solved from that guess alone),
 tabulates ``t(S)`` between them (``TABLE_ROWS_PER_SLOW_TIME`` rows per unit
 of slow time ``Omega*S``, never more rows than the grid has points) and
 starts every point at ``np.interp`` of that table.  From there it takes
@@ -49,8 +50,7 @@ TABLE_ROWS_PER_SLOW_TIME = 512
 class RetardedTimeResult:
     """Emission time with its achieved residual and iteration count.
 
-    ``iterations`` counts the Newton steps from the tabulated start, which
-    for one reception time is the solved window end itself.
+    ``iterations`` counts the Newton steps from the uniform-motion guess.
     """
 
     t_e: float
@@ -72,15 +72,24 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     """Safeguarded Newton solve of the retarded-time equation on a grid.
 
     ``ts`` is a non-empty 1-D grid with ``t - x/c >= 0`` (caller-checked).
-    The two window ends are solved from the uniform-motion guess; every
+    A grid of at most two points starts from the uniform-motion guess.  On
+    a larger one the two window ends are solved from that guess, and every
     point then starts from the inverse of the map ``t(S)`` tabulated
     between them (module docstring).  Returns ``(t_e, residual,
     iterations)`` arrays, ``iterations`` counting the Newton steps from each
-    point's tabulated start; callers decide whether ``residual > tol`` is
-    fatal.
+    point's start; callers decide whether ``residual > tol`` is fatal.
     """
     t = np.asarray(ts, dtype=float)
+    # The start is passed, not kept: _newton frees it after its first step.
+    if t.size <= 2:
+        return _newton(motion, medium, x, t, _uniform_guess(motion, medium, x, t), tol)
     return _newton(motion, medium, x, t, _tabulated_start(motion, medium, x, t, tol), tol)
+
+
+def _uniform_guess(motion: BoundaryMotion, medium: MediumParams, x: float,
+                   t: np.ndarray) -> np.ndarray:
+    """The emission times ``(t - x/c)/(1 - beta)`` of uniform motion, inside ``[0, t]``."""
+    return np.clip((t - x / medium.c) / (1.0 - motion.v / medium.c), 0.0, t)
 
 
 def _tabulated_start(motion: BoundaryMotion, medium: MediumParams, x: float,
@@ -92,7 +101,7 @@ def _tabulated_start(motion: BoundaryMotion, medium: MediumParams, x: float,
     c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
     ends = np.array([np.min(t), np.max(t)])
     s_lo, s_hi = _newton(motion, medium, x, ends,
-                         np.clip((ends - x / c) / (1.0 - v / c), 0.0, ends), tol)[0]
+                         _uniform_guess(motion, medium, x, ends), tol)[0]
     rows = min(t.size, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * (s_hi - s_lo)))
     emission = np.linspace(s_lo, s_hi, rows)
     alpha, = motion.profile.eval(Omega * emission, order=(0,))
@@ -261,7 +270,8 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     phase_exact, fm_exact = _exact_field(motion, medium, group, x, ts, True)
     freq_exact = medium.omega * fm_exact
     del fm_exact
-    phase, am, fm, freq_asym = _lab_field(motion, medium, group, x, ts, include_phase_shift)
+    phase, am, fm, freq_asym = _lab_field(motion, medium, group, x, ts, include_phase_shift,
+                                          with_rate=True)
     max_phase = float(np.max(np.abs(phase - phase_exact)))
     del phase, phase_exact, fm
     max_modulus = float(np.max(np.abs(np.abs(am) - 1.0)))

@@ -442,6 +442,16 @@ class TestParser:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_flag_shows_the_command_usage(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run([*RUNS["fm"][0], "--x", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dopplerlab fm ")
+        assert "unrecognized arguments: --x 3" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [c for c in RUNS if c != "compare"])
     def test_eps_list_only_for_compare(self, tmp_path, capsys, command):
         out = tmp_path / "never"

@@ -44,6 +44,8 @@ class TestRetardedTime:
         res = retarded_time(m, medium, 5.0, 9.0)
         assert res.t_e == pytest.approx(4.950076822855712, abs=1e-11)
         assert res.residual < 1e-12
+        # Uniform motion would emit at t - x/c = 4, so the solve takes steps.
+        assert res.iterations >= 1
 
     def test_residual_definition(self, medium):
         m = make_motion("oscillatory", beta=0.1, delta=0.2, eps=0.1)
@@ -228,22 +230,33 @@ class TestRoundTrip:
         assert np.all(np.abs(te - emission) <= fm_bound * (tol + 4.0 * np.spacing(ts)))
 
 
+def counting_profile(calls: Counter) -> MotionProfile:
+    """``1 - cos`` as a custom profile whose callables count their calls in ``calls``."""
+    def counted(name, f):
+        def call(u):
+            calls[name] += 1
+            return f(u)
+        return call
+
+    return MotionProfile.custom(counted("alpha", lambda u: 1.0 - math.cos(u)),
+                                counted("alpha'", math.sin),
+                                counted("alpha''", math.cos), horizon=60.0)
+
+
 class TestProfileCalls:
     def test_oracle_never_calls_alpha_pprime(self, medium):
         calls = Counter()
-
-        def counted(name, f):
-            def call(u):
-                calls[name] += 1
-                return f(u)
-            return call
-
-        prof = MotionProfile.custom(counted("alpha", lambda u: 1.0 - math.cos(u)),
-                                    counted("alpha'", math.sin),
-                                    counted("alpha''", math.cos), horizon=60.0)
-        m = make_motion(prof, beta=0.0, delta=0.3, eps=0.1)
+        m = make_motion(counting_profile(calls), beta=0.0, delta=0.3, eps=0.1)
         calls.clear()
         sample_receiver("oracle", m, medium, 10.0, 10.5, 0.5, 1000)
+        assert calls["alpha''"] == 0
+        assert calls["alpha"] > 0 and calls["alpha'"] > 0
+
+    def test_asymptotic_samples_never_call_alpha_pprime(self, medium):
+        calls = Counter()
+        m = make_motion(counting_profile(calls), beta=0.0, delta=0.3, eps=0.1)
+        calls.clear()
+        sample_receiver("asymptotic", m, medium, 10.0, 10.5, 0.1, 2000)
         assert calls["alpha''"] == 0
         assert calls["alpha"] > 0 and calls["alpha'"] > 0
 

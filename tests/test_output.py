@@ -1,5 +1,6 @@
 """CSV and SVG writers: byte parity with the per-cell and per-point code
-that the block formatters replaced, and no partial file on a failure."""
+that the block formatters replaced, and no partial file or file set on a
+failure."""
 
 import re
 from pathlib import Path
@@ -128,3 +129,44 @@ class TestNoPartialFile:
             line_plot(str(tmp_path / "out.svg"), "t", "x", "y", [0.0, 1.0],
                       [("a", [0.0, 1.0], "solid")])
         assert list(tmp_path.iterdir()) == []
+
+
+#: Commands that write several files, and the last file each writes.
+FILE_SETS = {
+    "spectrum": (["spectrum", "--profile", "oscillatory", "--delta", "0.2", "--eps", "0.1",
+                  "--x", "5", "--t-min", "5", "--t-max", "319.2", "--samples", "256",
+                  "--source", "oracle"],
+                 "spectrum_peaks.csv"),
+    "figure 2": (["figure", "2"], "fig2_far.svg"),
+}
+
+
+class TestAllOrNone:
+    @pytest.mark.parametrize("command", FILE_SETS)
+    def test_failed_last_file_leaves_no_file(self, tmp_path, monkeypatch, capsys, command):
+        argv, last = FILE_SETS[command]
+
+        def failing_on_last(writer):
+            def write(path, *args):
+                if Path(path).name == last:
+                    raise OSError(f"cannot write {last}")
+                writer(path, *args)
+            return write
+
+        monkeypatch.setattr(cli_mod, "write_csv", failing_on_last(write_csv))
+        monkeypatch.setattr(cli_mod, "line_plot", failing_on_last(line_plot))
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: IO: cannot write {last}" in captured.err
+        assert list(out.iterdir()) == []
+
+    def test_failed_rerun_removes_the_files_it_replaced(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["figure", "2", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("not the command's")
+        (out / "fig2_far.svg").unlink()
+        (out / "fig2_far.svg").mkdir()  # the last rename fails
+        assert main(["figure", "2", "--out", str(out)]) == 4
+        assert sorted(p.name for p in out.iterdir()) == ["fig2_far.svg", "notes.txt"]
