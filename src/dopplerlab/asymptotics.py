@@ -57,6 +57,8 @@ class FieldSample:
 
 def classical_doppler(omega: float, beta: float) -> float:
     """Shifted frequency ``omega / (1 - beta)`` for uniform motion."""
+    if not (np.isfinite(omega) and np.isfinite(beta)):
+        raise ArgumentOutOfRange(f"omega={omega} and beta={beta} must be finite")
     if beta >= 1.0:
         raise DegenerateRatio(f"beta={beta} >= 1 has no subsonic Doppler shift")
     return omega / (1.0 - beta)
@@ -69,6 +71,8 @@ def wavenumber(beta_tilde):
     precision, with the sign choice that keeps the wave outgoing.
     """
     b = np.asarray(beta_tilde, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ArgumentOutOfRange(f"beta_tilde={beta_tilde} must be finite")
     if np.any(b >= 1.0):
         raise DegenerateRatio(f"beta_tilde={beta_tilde} >= 1 is not subsonic")
     return _match(1.0 / (1.0 - b))
@@ -241,15 +245,16 @@ def moving_frame_field(motion: BoundaryMotion, medium: MediumParams,
     dimensionless time; at ``eta = 0`` this is exactly the boundary
     excitation ``e^{i tau}``.  At ``eta = (x - X_s(t)) * omega / c``,
     ``tau = omega*t`` it agrees with :func:`leading_order_field` (phase
-    shift included) to machine precision.  ``eta`` must be >= 0 and the
-    times ``tau/omega`` must pass :func:`~dopplerlab.motion.time_window`.
+    shift included) to machine precision.  ``eta`` must be finite and
+    >= 0, and the times ``tau/omega`` must pass
+    :func:`~dopplerlab.motion.time_window`.
     """
     beta, delta, eps = validate(motion, medium)
     eta = np.asarray(eta, dtype=float)
     tau = np.asarray(tau, dtype=float)
     time_window(motion, medium, tau / medium.omega)
-    if not np.all(eta >= 0.0):  # a NaN distance fails too
-        raise ArgumentOutOfRange("moving-frame distance eta must be >= 0")
+    if not np.all((eta >= 0.0) & (eta < np.inf)):  # NaN fails both
+        raise ArgumentOutOfRange("moving-frame distance eta must be finite and >= 0")
     st = eps * tau
     alpha, ap = motion.profile.eval(st, order=(0, 1))
     base = (1.0 - beta) * st - delta * np.asarray(alpha)

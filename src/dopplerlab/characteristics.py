@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ArgumentOutOfRange
-from .motion import BoundaryMotion, MediumParams, _match, validate
+from .motion import BoundaryMotion, MediumParams, MotionProfile, _match, validate
 
 FAMILIES = ("plus", "minus")
 
@@ -46,6 +46,14 @@ def _require_family(family: str) -> None:
         raise ArgumentOutOfRange(f"family must be one of {FAMILIES}, got {family!r}")
 
 
+def _require_coords(message: str, *coords) -> None:
+    """Raise :class:`ArgumentOutOfRange` unless every coordinate is finite and >= 0."""
+    for c in coords:
+        c = np.asarray(c, dtype=float)
+        if not np.all((c >= 0.0) & (c < np.inf)):  # NaN fails both
+            raise ArgumentOutOfRange(message)
+
+
 def to_characteristic_coords(eta, tau, motion: BoundaryMotion,
                              medium: MediumParams) -> CharacteristicCoords:
     """Map ``(eta, tau)`` to ``(theta1, theta2, tau1, eta1)``.
@@ -57,8 +65,7 @@ def to_characteristic_coords(eta, tau, motion: BoundaryMotion,
     beta, delta, eps = validate(motion, medium)
     eta = float(eta)
     tau = float(tau)
-    if eta < 0.0 or tau < 0.0:
-        raise ArgumentOutOfRange("characteristic coordinates need eta, tau >= 0")
+    _require_coords("characteristic coordinates need finite eta, tau >= 0", eta, tau)
     ap, = motion.profile.eval(eps * tau, order=(1,))
     beta_tilde = beta + delta * ap
     return CharacteristicCoords(
@@ -74,15 +81,20 @@ def slow_characteristic(family: str, eta1, tau1, motion: BoundaryMotion,
     """Characteristic parameter ``s = (1 +- beta)*tau1 +- delta*alpha(tau1) -+ eta1``.
 
     Upper signs belong to the plus family, lower signs to the minus family.
+    The motion goes through :func:`validate` first.
     """
     _require_family(family)
+    beta, delta, _ = validate(motion, medium)
+    return _slow_label(family, eta1, tau1, motion.profile, beta, delta)
+
+
+def _slow_label(family: str, eta1, tau1, profile: MotionProfile, beta: float,
+                delta: float):
+    """:func:`slow_characteristic` for a family and ``(beta, delta)`` already validated."""
     t1 = np.asarray(tau1, dtype=float)
     e1 = np.asarray(eta1, dtype=float)
-    if np.any(t1 < 0.0) or np.any(e1 < 0.0):
-        raise ArgumentOutOfRange("slow coordinates must be >= 0")
-    beta = motion.v / medium.c
-    delta = motion.a * motion.Omega / medium.c
-    alpha, = motion.profile.eval(t1, order=(0,))
+    _require_coords("slow coordinates must be finite and >= 0", t1, e1)
+    alpha, = profile.eval(t1, order=(0,))
     sign = 1.0 if family == "plus" else -1.0
     s = (1.0 + sign * beta) * t1 + sign * delta * np.asarray(alpha) - sign * e1
     return _match(s)
@@ -93,8 +105,8 @@ def transport_amplitude(family: str, eta1, tau1, motion: BoundaryMotion,
     """Real envelope ``exp{-(delta/2)[alpha'(s(eta1,tau1)) - alpha'(s(0,tau1))]}``."""
     _require_family(family)
     beta, delta, _ = validate(motion, medium)
-    s_here = slow_characteristic(family, eta1, tau1, motion, medium)
-    s_src = slow_characteristic(family, 0.0, tau1, motion, medium)
+    s_here = _slow_label(family, eta1, tau1, motion.profile, beta, delta)
+    s_src = _slow_label(family, 0.0, tau1, motion.profile, beta, delta)
     # Plus-family labels can be negative ahead of the boundary-launched
     # characteristics, so evaluate the profile formulas without the
     # trajectory-time gate.

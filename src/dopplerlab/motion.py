@@ -55,16 +55,16 @@ BOUNDARY_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Emitted angular frequency ``omega`` and wave phase speed ``c``."""
+    """Emitted angular frequency ``omega`` and wave phase speed ``c``, both finite and positive."""
 
     omega: float
     c: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise ArgumentOutOfRange(f"omega must be positive, got {self.omega}")
-        if not (self.c > 0.0):
-            raise ArgumentOutOfRange(f"c must be positive, got {self.c}")
+        if not 0.0 < self.omega < np.inf:
+            raise ArgumentOutOfRange(f"omega must be finite and positive, got {self.omega}")
+        if not 0.0 < self.c < np.inf:
+            raise ArgumentOutOfRange(f"c must be finite and positive, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -349,22 +349,19 @@ def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) 
     _snap(motion, medium, x, ts)
 
 
+#: The exact range ``(min, max)`` of ``alpha'`` for each built-in profile.
+_SLOPE_RANGES = {"constant": (0.0, 0.0), "decelerating": (0.0, 1.0),
+                 "oscillatory": (-1.0, 1.0)}
+
+
 def _profile_speed_sup(profile: MotionProfile, beta: float, delta: float) -> float:
     """sup over t of |beta + delta*alpha'(Omega t)|.
 
-    Closed forms for built-ins (alpha' ranges are known exactly); the range
-    sampled at construction time for custom profiles.  |beta + delta*s| is
-    affine in the slope s, so its sup sits at an endpoint of the range.
+    ``|beta + delta*s|`` is affine in the slope ``s``, so its sup sits at an
+    end of the slope range: exact for built-ins, sampled at construction
+    for custom profiles.
     """
-    if profile.kind == "constant":
-        return abs(beta)
-    if profile.kind == "decelerating":
-        # alpha' decays from 1 to 0, so the extremes are at the ends.
-        return max(abs(beta), abs(beta + delta))
-    if profile.kind == "oscillatory":
-        # alpha' covers [-1, 1].
-        return abs(beta) + abs(delta)
-    lo, hi = profile.slope_range
+    lo, hi = profile.slope_range if profile.kind == "custom" else _SLOPE_RANGES[profile.kind]
     return max(abs(beta + delta * lo), abs(beta + delta * hi))
 
 

@@ -9,18 +9,18 @@ which the multiple-scales approximation is measured.
 
 One vectorised solver, :func:`_solve_retarded`, serves every profile,
 built-in or custom.  Its inverse, ``t(S) = x/c + S - X_s(S)/c``, is
-explicit and strictly increasing, so the solver first solves the two
-window ends from the uniform-motion guess ``(t - x/c)/(1 - beta)``
-(a grid of at most two points is solved from that guess alone),
-tabulates ``t(S)`` between them (``TABLE_ROWS_PER_SLOW_TIME`` rows per unit
-of slow time ``Omega*S``, never more rows than the grid has points) and
-starts every point at ``np.interp`` of that table.  From there it takes
-Newton steps, each from one :meth:`MotionProfile.eval` call giving ``g``
-and ``g'`` together from ``alpha`` and ``alpha'``.  The ``[0, t]``
-bracket shrinks around the root as it goes, and a step that would leave it
-falls back to the bracket midpoint (``rtsafe`` in *Numerical Recipes*).
-Only points not yet within tolerance keep iterating; from the table most
-need one step.
+explicit and strictly increasing, so the solver tabulates ``t(S)`` over the
+bracket ``[0, max t]``, known before any solve
+(``TABLE_ROWS_PER_SLOW_TIME`` rows per unit of slow time ``Omega*S``, never
+more rows than the grid has points, never fewer than two), and starts every
+point at ``np.interp`` of that table.  A one- or two-point grid gets the
+secant through ``S = 0`` and ``S = max t``, which for uniform motion is the
+root itself up to rounding.  From there it takes Newton steps, each from one
+:meth:`MotionProfile.eval` call giving ``g`` and ``g'`` together from
+``alpha`` and ``alpha'``.  The ``[0, t]`` bracket shrinks around the root as
+it goes, and a step that would leave it falls back to the bracket midpoint
+(``rtsafe`` in *Numerical Recipes*).  Only points not yet within tolerance
+keep iterating; from the table most need one step.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ DEFAULT_TOL_SCALE = 1e-12
 MAX_ITERATIONS = 200
 
 #: Rows per unit of slow time (``Omega*t_e``) in the table of the inverse
-#: map that starts the solve; a table never has more rows than the grid.
+#: map that starts the solve; a table has at least two rows and never more
+#: rows than a larger grid has points.
 TABLE_ROWS_PER_SLOW_TIME = 512
 
 
@@ -50,7 +51,7 @@ TABLE_ROWS_PER_SLOW_TIME = 512
 class RetardedTimeResult:
     """Emission time with its achieved residual and iteration count.
 
-    ``iterations`` counts the Newton steps from the uniform-motion guess.
+    ``iterations`` counts the Newton steps from the tabulated start.
     """
 
     t_e: float
@@ -72,53 +73,19 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     """Safeguarded Newton solve of the retarded-time equation on a grid.
 
     ``ts`` is a non-empty 1-D grid with ``t - x/c >= 0`` (caller-checked).
-    A grid of at most two points starts from the uniform-motion guess.  On
-    a larger one the two window ends are solved from that guess, and every
-    point then starts from the inverse of the map ``t(S)`` tabulated
-    between them (module docstring).  Returns ``(t_e, residual,
-    iterations)`` arrays, ``iterations`` counting the Newton steps from each
-    point's start; callers decide whether ``residual > tol`` is fatal.
+    Every point starts from the inverse of the map ``t(S)`` tabulated over
+    the bracket ``[0, max t]`` (module docstring).  Each step takes ``g``
+    and ``g'`` from one :meth:`MotionProfile.eval` of ``(alpha, alpha')``,
+    inside the bracket ``[0, t]``; only points with ``|g| > tol`` keep
+    iterating, for at most ``MAX_ITERATIONS`` steps.  Returns ``(t_e,
+    residual, iterations)`` arrays, ``iterations`` counting the Newton steps
+    from each point's start; callers decide whether ``residual > tol`` is
+    fatal.
     """
+    c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
     t = np.asarray(ts, dtype=float)
-    # The start is passed, not kept: _newton frees it after its first step.
-    if t.size <= 2:
-        return _newton(motion, medium, x, t, _uniform_guess(motion, medium, x, t), tol)
-    return _newton(motion, medium, x, t, _tabulated_start(motion, medium, x, t, tol), tol)
-
-
-def _uniform_guess(motion: BoundaryMotion, medium: MediumParams, x: float,
-                   t: np.ndarray) -> np.ndarray:
-    """The emission times ``(t - x/c)/(1 - beta)`` of uniform motion, inside ``[0, t]``."""
-    return np.clip((t - x / medium.c) / (1.0 - motion.v / medium.c), 0.0, t)
-
-
-def _tabulated_start(motion: BoundaryMotion, medium: MediumParams, x: float,
-                     t: np.ndarray, tol: float) -> np.ndarray:
-    """Each point's start: ``t(S)`` tabulated between the solved window ends, inverted.
-
-    The table dies on return, so only the start array reaches the solve.
-    """
-    c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
-    ends = np.array([np.min(t), np.max(t)])
-    s_lo, s_hi = _newton(motion, medium, x, ends,
-                         _uniform_guess(motion, medium, x, ends), tol)[0]
-    rows = min(t.size, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * (s_hi - s_lo)))
-    emission = np.linspace(s_lo, s_hi, rows)
-    alpha, = motion.profile.eval(Omega * emission, order=(0,))
-    reception = x / c + emission - (v * emission + a * alpha) / c
-    del alpha
-    return np.clip(np.interp(t, reception, emission), 0.0, t)
-
-
-def _newton(motion: BoundaryMotion, medium: MediumParams, x: float, t: np.ndarray,
-            s: np.ndarray, tol: float):
-    """Newton steps on ``g(s) = s - X_s(s)/c - (t - x/c)`` from the start ``s``.
-
-    Each step takes ``g`` and ``g'`` from one :meth:`MotionProfile.eval` of
-    ``(alpha, alpha')``, inside the bracket ``[0, t]``; only points with
-    ``|g| > tol`` keep iterating, for at most ``MAX_ITERATIONS`` steps.
-    """
-    c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
+    # Only the start is kept, not its table; it is freed by the first step.
+    s = _tabulated_start(motion, medium, x, t)
     te = np.empty_like(t)
     resid = np.empty_like(t)
     iters = np.zeros(t.shape, dtype=np.int64)
@@ -166,6 +133,22 @@ def _newton(motion: BoundaryMotion, medium: MediumParams, x: float, t: np.ndarra
         s[bad] = 0.5 * (lo[bad] + hi[bad])
         del bad
     return te, resid, iters
+
+
+def _tabulated_start(motion: BoundaryMotion, medium: MediumParams, x: float,
+                     t: np.ndarray) -> np.ndarray:
+    """Each point's start: ``t(S)`` tabulated over the bracket ``[0, max t]``, inverted.
+
+    The table dies on return, so only the start array reaches the solve.
+    """
+    c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
+    s_hi = float(np.max(t))
+    rows = max(2, min(t.size, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * s_hi)))
+    emission = np.linspace(0.0, s_hi, rows)
+    alpha, = motion.profile.eval(Omega * emission, order=(0,))
+    reception = x / c + emission - (v * emission + a * alpha) / c
+    del alpha
+    return np.clip(np.interp(t, reception, emission), 0.0, t)
 
 
 def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float, ts):
@@ -259,8 +242,8 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
     if not (t_hi > t_lo):
         raise ArgumentOutOfRange(f"empty comparison window {t_window}")
-    if n_samples < 2:
-        raise ArgumentOutOfRange(f"need at least 2 samples, got {n_samples}")
+    if not 2 <= n_samples < np.inf:  # NaN fails both
+        raise ArgumentOutOfRange(f"need a finite count of at least 2 samples, got {n_samples}")
     ts = np.linspace(t_lo, t_hi, int(n_samples))
     receiver_window(motion, medium, x, ts)
 

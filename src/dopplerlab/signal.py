@@ -105,8 +105,8 @@ def sample_receiver(source: str, motion: BoundaryMotion, medium: MediumParams,
     :func:`sample_on_grid` on that grid; ``include_phase_shift`` only
     affects the asymptotic source.
     """
-    if n < 2:
-        raise ArgumentOutOfRange(f"need at least 2 samples, got {n}")
+    if not 2 <= n < np.inf:  # NaN fails both
+        raise ArgumentOutOfRange(f"need a finite count of at least 2 samples, got {n}")
     if not (dt > 0.0):
         raise ArgumentOutOfRange(f"dt must be positive, got {dt}")
     values, _ = sample_on_grid(source, motion, medium, x, t0 + dt * np.arange(int(n)),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dopplerlab.asymptotics import am_factor
+import dopplerlab.characteristics as characteristics_mod
+from dopplerlab.asymptotics import am_factor, classical_doppler, moving_frame_field, wavenumber
 from dopplerlab.characteristics import (
     general_excitation_field,
     slow_characteristic,
@@ -13,7 +14,7 @@ from dopplerlab.characteristics import (
     transport_amplitude,
     transport_solution,
 )
-from dopplerlab.errors import ArgumentOutOfRange
+from dopplerlab.errors import ArgumentOutOfRange, SupersonicMotion
 from dopplerlab.motion import MotionProfile, boundary_position
 
 from conftest import make_motion
@@ -62,6 +63,29 @@ class TestSlowCharacteristic:
         m = make_motion("constant", beta=0.0, delta=0.0, eps=0.1)
         with pytest.raises(ArgumentOutOfRange):
             slow_characteristic("sideways", 0.0, 0.0, m, medium)
+
+
+    def test_supersonic_motion_rejected(self, medium):
+        # delta = 1.2 reaches the wave speed; the label used to be computed
+        # (0.4902) while transport_amplitude raised for the same motion.
+        m = make_motion("oscillatory", beta=0.0, delta=1.2, eps=0.1)
+        for call in (slow_characteristic, transport_amplitude):
+            with pytest.raises(SupersonicMotion):
+                call("minus", 0.5, 1.0, m, medium)
+
+    @pytest.mark.parametrize("call", [slow_characteristic, transport_amplitude])
+    def test_validates_once(self, call, medium, monkeypatch):
+        calls = []
+        real = characteristics_mod.validate
+
+        def counted(motion, medium):
+            calls.append(motion)
+            return real(motion, medium)
+
+        monkeypatch.setattr(characteristics_mod, "validate", counted)
+        m = make_motion("oscillatory", beta=0.1, delta=0.3, eps=0.1)
+        call("plus", 0.5, 1.0, m, medium)
+        assert len(calls) == 1
 
 
 class TestTransportAmplitude:
@@ -156,3 +180,35 @@ class TestGeneralExcitation:
         f = self._gaussian_bump
         with pytest.raises(ArgumentOutOfRange):
             general_excitation_field(f, 5.0, 2.0, m, medium, domain=(4.0, 10.0))
+
+
+def _excitation(u):
+    return complex(math.cos(u), math.sin(u))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, med: moving_frame_field(m, med, math.inf, 1.0),
+    lambda m, med: moving_frame_field(m, med, math.nan, 1.0),
+    lambda m, med: to_characteristic_coords(math.nan, 1.0, m, med),
+    lambda m, med: to_characteristic_coords(1.0, math.nan, m, med),
+    lambda m, med: to_characteristic_coords(math.inf, 1.0, m, med),
+    lambda m, med: slow_characteristic("minus", math.nan, 1.0, m, med),
+    lambda m, med: slow_characteristic("plus", 0.5, np.array([1.0, math.nan]), m, med),
+    lambda m, med: slow_characteristic("minus", math.inf, 1.0, m, med),
+    lambda m, med: transport_amplitude("minus", math.nan, 1.0, m, med),
+    lambda m, med: transport_amplitude("plus", 0.5, math.inf, m, med),
+    lambda m, med: general_excitation_field(_excitation, math.nan, 1.0, m, med),
+    lambda m, med: wavenumber(math.nan),
+    lambda m, med: wavenumber(np.array([0.5, -math.inf])),
+    lambda m, med: classical_doppler(1.0, math.nan),
+    lambda m, med: classical_doppler(1.0, -math.inf),
+], ids=["moving-frame-inf-eta", "moving-frame-nan-eta", "coords-nan-eta", "coords-nan-tau",
+        "coords-inf-eta", "slow-nan-eta", "slow-nan-tau", "slow-inf-eta",
+        "transport-nan-eta", "transport-inf-tau", "excitation-nan-eta", "wavenumber-nan",
+        "wavenumber-minus-inf", "doppler-nan-beta", "doppler-minus-inf-beta"])
+def test_non_finite_coordinate_rejected(call, medium):
+    # Each of these returned NaN (or a meaningless number) instead of raising.
+    m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+    with pytest.raises(ArgumentOutOfRange) as excinfo:
+        call(m, medium)
+    assert excinfo.value.code == "ARG_OUT_OF_RANGE"

@@ -333,6 +333,15 @@ class TestConstruction:
         with pytest.raises(ArgumentOutOfRange):
             MediumParams(omega=1.0, c=-2.0)
 
+    @pytest.mark.parametrize("omega,c", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+    def test_medium_requires_finite_parameters(self, omega, c):
+        # An infinite omega used to be accepted, and exact_field then
+        # returned nan+nanj.
+        with pytest.raises(ArgumentOutOfRange) as excinfo:
+            MediumParams(omega=omega, c=c)
+        assert excinfo.value.code == "ARG_OUT_OF_RANGE"
+
     def test_unknown_profile_kind_rejected(self):
         with pytest.raises(ArgumentOutOfRange, match="unknown profile kind 'bogus'"):
             MotionProfile(kind="bogus")

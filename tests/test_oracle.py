@@ -82,9 +82,9 @@ class TestRetardedTime:
             retarded_time(m, medium, 0.5, 8.0)
 
     def test_exhausted_budget_raises(self, medium, monkeypatch):
-        # With a one-step budget the window-end solve and the solve from
-        # its table take one Newton step each from the uniform-motion
-        # guess; the two leave a residual of about 1e-7, far above tolerance.
+        # With a one-step budget the solve takes one Newton step from the
+        # secant start 4.84; that leaves a residual of about 5e-5, far above
+        # tolerance.
         monkeypatch.setattr(oracle_mod, "MAX_ITERATIONS", 1)
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
         with pytest.raises(NoConvergence):
@@ -160,6 +160,48 @@ class TestSolver:
         assert np.max(resid) <= tol
         assert np.max(iters) <= 2
         assert np.mean(iters) <= 1.1
+
+    def test_one_newton_loop_per_solve(self, medium, monkeypatch):
+        # One profile evaluation builds the start table; each pass of the
+        # loop makes one more, and the last pass finds every point done.
+        # Nothing else evaluates the profile: no window end is solved first.
+        calls = []
+        real = MotionProfile.eval
+
+        def counted(profile, arg, order=(0, 1, 2)):
+            calls.append(order)
+            return real(profile, arg, order)
+
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        x = 2.8
+        ts = np.linspace(x, x + 20.0 * 2.0 * math.pi, 200_001)
+        monkeypatch.setattr(MotionProfile, "eval", counted)
+        _, resid, iters = oracle_mod._solve_retarded(m, medium, x, ts,
+                                                     oracle_mod.DEFAULT_TOL_SCALE)
+        assert np.max(resid) <= oracle_mod.DEFAULT_TOL_SCALE
+        assert calls == [(0,)] + [(0, 1)] * (int(np.max(iters)) + 1)
+
+    @pytest.mark.parametrize("profile,beta,delta", [
+        ("constant", 0.4, 0.0),
+        ("decelerating", 0.1, -0.3),
+        ("oscillatory", -0.2, 0.4),
+    ])
+    def test_small_grids_match_the_large_grid(self, profile, beta, delta, medium):
+        # A one- or two-point grid starts from a two-row table, a large grid
+        # from a fine one; both solve to |g| <= tol, and g' = 1/FM.
+        m = make_motion(profile, beta=beta, delta=delta, eps=0.1)
+        group = validate(m, medium)
+        fm_max = 1.0 / (1.0 - _profile_speed_sup(m.profile, group.beta, group.delta))
+        tol = oracle_mod.DEFAULT_TOL_SCALE
+        x = 10.0
+        ts = np.linspace(x, x + 150.0, 20_001)
+        grid = oracle_mod._solve_retarded(m, medium, x, ts, tol)[0]
+        for k in (0, 1, 7_777, 20_000):
+            one = oracle_mod._solve_retarded(m, medium, x, ts[k:k + 1], tol)[0]
+            assert abs(one[0] - grid[k]) <= 2.0 * fm_max * tol
+        for j, k in ((0, 20_000), (3_000, 3_001), (12_345, 19_999)):
+            two = oracle_mod._solve_retarded(m, medium, x, ts[[j, k]], tol)[0]
+            assert np.all(np.abs(two - grid[[j, k]]) <= 2.0 * fm_max * tol)
 
     def test_long_window_still_stalls(self, medium):
         # Past t = 8192/omega one float step in t exceeds the 1e-12/omega
@@ -331,3 +373,10 @@ class TestCompareFields:
         m = make_motion("decelerating", beta=0.0, delta=-0.2, eps=0.1)
         with pytest.raises(NotYetReached):
             compare_fields(m, medium, 5.0, (2.0, 30.0), 100)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_non_finite_sample_count_rejected(self, n, medium):
+        m = make_motion("decelerating", beta=0.0, delta=-0.2, eps=0.1)
+        with pytest.raises(ArgumentOutOfRange) as excinfo:
+            compare_fields(m, medium, 5.0, (5.0, 30.0), n)
+        assert excinfo.value.code == "ARG_OUT_OF_RANGE"

@@ -67,6 +67,14 @@ class TestReceiverSeries:
         with pytest.raises(ObserverInsideBoundary):
             sample_receiver("asymptotic", m, medium, 2.0, 2.0, 0.5, 16)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    @pytest.mark.parametrize("source", ["asymptotic", "oracle"])
+    def test_non_finite_sample_count_rejected(self, source, n, medium):
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        with pytest.raises(ArgumentOutOfRange) as excinfo:
+            sample_receiver(source, m, medium, 5.0, 5.0, 0.25, n)
+        assert excinfo.value.code == "ARG_OUT_OF_RANGE"
+
 
 class TestOnePath:
     @pytest.mark.parametrize("profile,beta,delta", [("oscillatory", 0.1, 0.2),
