@@ -54,26 +54,37 @@ def _require_coords(message: str, *coords) -> None:
             raise ArgumentOutOfRange(message)
 
 
+def _point(message: str, *coords) -> tuple:
+    """One point's coordinates as floats; :class:`ArgumentOutOfRange` unless each is finite, >= 0."""
+    if any(np.ndim(c) != 0 for c in coords):
+        raise ArgumentOutOfRange(f"{message}; got an array, not one point")
+    _require_coords(message, *coords)
+    return tuple(float(c) for c in coords)
+
+
 def to_characteristic_coords(eta, tau, motion: BoundaryMotion,
                              medium: MediumParams) -> CharacteristicCoords:
     """Map ``(eta, tau)`` to ``(theta1, theta2, tau1, eta1)``.
 
     The fast coordinates use the instantaneous velocity ratio frozen at the
     slow time of the evaluation point:
-    ``theta_{1,2} = eta + (beta_tilde(eps*tau) +- 1) * tau``.
+    ``theta_{1,2} = eta + (beta_tilde(eps*tau) +- 1) * tau``.  ``eta`` and
+    ``tau`` are one point.
     """
-    beta, delta, eps = validate(motion, medium)
-    eta = float(eta)
-    tau = float(tau)
-    _require_coords("characteristic coordinates need finite eta, tau >= 0", eta, tau)
-    ap, = motion.profile.eval(eps * tau, order=(1,))
+    return _coords(eta, tau, motion.profile, *validate(motion, medium))[0]
+
+
+def _coords(eta, tau, profile: MotionProfile, beta: float, delta: float, eps: float):
+    """:func:`to_characteristic_coords` for a validated group, with ``beta_tilde`` there."""
+    eta, tau = _point("characteristic coordinates need finite eta, tau >= 0", eta, tau)
+    ap, = profile.eval(eps * tau, order=(1,))
     beta_tilde = beta + delta * ap
     return CharacteristicCoords(
         theta1=eta + (beta_tilde + 1.0) * tau,
         theta2=eta + (beta_tilde - 1.0) * tau,
         tau1=eps * tau,
         eta1=eps * eta,
-    )
+    ), beta_tilde
 
 
 def slow_characteristic(family: str, eta1, tau1, motion: BoundaryMotion,
@@ -105,23 +116,32 @@ def transport_amplitude(family: str, eta1, tau1, motion: BoundaryMotion,
     """Real envelope ``exp{-(delta/2)[alpha'(s(eta1,tau1)) - alpha'(s(0,tau1))]}``."""
     _require_family(family)
     beta, delta, _ = validate(motion, medium)
-    s_here = _slow_label(family, eta1, tau1, motion.profile, beta, delta)
-    s_src = _slow_label(family, 0.0, tau1, motion.profile, beta, delta)
+    return _amplitude(family, eta1, tau1, motion.profile, beta, delta)
+
+
+def _amplitude(family: str, eta1, tau1, profile: MotionProfile, beta: float,
+               delta: float):
+    """:func:`transport_amplitude` for a family and ``(beta, delta)`` already validated."""
+    s_here = _slow_label(family, eta1, tau1, profile, beta, delta)
+    s_src = _slow_label(family, 0.0, tau1, profile, beta, delta)
     # Plus-family labels can be negative ahead of the boundary-launched
     # characteristics, so evaluate the profile formulas without the
     # trajectory-time gate.
-    ap_here, = motion.profile.eval_unchecked(s_here, order=(1,))
-    ap_src, = motion.profile.eval_unchecked(s_src, order=(1,))
+    ap_here, = profile.eval_unchecked(s_here, order=(1,))
+    ap_src, = profile.eval_unchecked(s_src, order=(1,))
     return _match(np.exp(-0.5 * delta * (np.asarray(ap_here) - np.asarray(ap_src))))
 
 
 def transport_solution(family: str, eta1: float, tau1: float,
                        motion: BoundaryMotion, medium: MediumParams) -> TransportSolution:
     """Bundle ``slow_characteristic`` and ``transport_amplitude`` for one point."""
+    _require_family(family)
+    beta, delta, _ = validate(motion, medium)
+    eta1, tau1 = _point("slow coordinates must be finite and >= 0", eta1, tau1)
     return TransportSolution(
         family=family,
-        s_value=float(slow_characteristic(family, eta1, tau1, motion, medium)),
-        amplitude=float(transport_amplitude(family, eta1, tau1, motion, medium)),
+        s_value=float(_slow_label(family, eta1, tau1, motion.profile, beta, delta)),
+        amplitude=float(_amplitude(family, eta1, tau1, motion.profile, beta, delta)),
     )
 
 
@@ -134,15 +154,13 @@ def general_excitation_field(excitation: Callable[[float], complex], eta, tau,
     each half is evaluated at its family's fast argument
     (``theta1/(beta_tilde+1)`` and ``theta2/(beta_tilde-1)``) and scaled by
     that family's transport envelope.  At ``eta = 0`` the sum reconstructs
-    the excitation exactly.
+    the excitation exactly.  ``eta`` and ``tau`` are one point.
 
     ``domain``, when given, declares the interval on which the excitation
     is defined; probing outside it raises :class:`ArgumentOutOfRange`.
     """
-    coords = to_characteristic_coords(eta, tau, motion, medium)
     beta, delta, eps = validate(motion, medium)
-    ap, = motion.profile.eval(coords.tau1, order=(1,))
-    beta_tilde = beta + delta * ap
+    coords, beta_tilde = _coords(eta, tau, motion.profile, beta, delta, eps)
 
     arg_plus = coords.theta1 / (beta_tilde + 1.0)
     arg_minus = coords.theta2 / (beta_tilde - 1.0)
@@ -154,6 +172,6 @@ def general_excitation_field(excitation: Callable[[float], complex], eta, tau,
                 f"{family}-family argument {arg:.6g} outside declared "
                 f"excitation domain [{domain[0]:.6g}, {domain[1]:.6g}]"
             )
-        env = transport_amplitude(family, coords.eta1, coords.tau1, motion, medium)
+        env = _amplitude(family, coords.eta1, coords.tau1, motion.profile, beta, delta)
         total += 0.5 * env * excitation(arg)
     return complex(total)

@@ -52,6 +52,12 @@ MAX_OMEGA_T = 2**32
 #: roundoff in X_s.
 BOUNDARY_CLAMP = 1e-12
 
+#: Points per block of a long grid.  The window guard, the retarded-time
+#: solve and the field built on it run block by block (:func:`_blocks`), so
+#: their intermediate arrays are block-sized, not grid-sized, and stay in
+#: the cache and in pages the process already holds.
+BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class MediumParams:
@@ -307,23 +313,28 @@ def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
     when both are scalars.
     """
     time_window(motion, medium, t)
-    return _snap(motion, medium, x, t)
-
-
-def _snap(motion: BoundaryMotion, medium: MediumParams, x, t):
-    """:func:`snap_to_boundary` on times that already passed :func:`time_window`."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ArgumentOutOfRange(f"receiver position must be finite, got {x}")
+    xa = _finite_receiver(x)
     xs = np.asarray(boundary_position(motion, t))
     lag = xs - xa
     worst = int(np.argmax(lag))
-    if lag.flat[worst] > BOUNDARY_CLAMP * medium.c / medium.omega:
-        raise ObserverInsideBoundary(
-            f"x={float(np.broadcast_to(xa, lag.shape).flat[worst])} lies "
-            f"{lag.flat[worst]:.3g} behind the boundary at "
-            f"t={float(np.broadcast_to(t, lag.shape).flat[worst])}")
+    _check_lag(medium, lag.flat[worst], np.broadcast_to(xa, lag.shape).flat[worst],
+               np.broadcast_to(t, lag.shape).flat[worst])
     return _match(np.maximum(xa, xs))
+
+
+def _finite_receiver(x) -> np.ndarray:
+    """``x`` as a float array; :class:`ArgumentOutOfRange` unless it is finite."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ArgumentOutOfRange(f"receiver position must be finite, got {x}")
+    return xa
+
+
+def _check_lag(medium: MediumParams, lag, x, t) -> None:
+    """The boundary rule at the worst point: ``x`` lies ``lag`` behind ``X_s(t)``."""
+    if lag > BOUNDARY_CLAMP * medium.c / medium.omega:
+        raise ObserverInsideBoundary(
+            f"x={float(x)} lies {lag:.3g} behind the boundary at t={float(t)}")
 
 
 def before_arrival(medium: MediumParams, x: float, t: float) -> bool:
@@ -336,9 +347,10 @@ def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) 
 
     In order: the time rules of :func:`time_window`, the causal cone of
     :func:`before_arrival` (:class:`NotYetReached`), then the boundary rule
-    of :func:`snap_to_boundary`.  Callers keep ``x`` itself: the snap moves
-    it by at most ``BOUNDARY_CLAMP*c/omega``, and the ``X_s`` grid is
-    dropped before any solve.
+    of :func:`snap_to_boundary`.  The boundary rule evaluates ``X_s`` one
+    block at a time (:func:`_blocks`) and raises only after the whole grid,
+    naming the point ``np.argmax`` of the whole lag would.  Callers keep
+    ``x`` itself: the snap moves it by at most ``BOUNDARY_CLAMP*c/omega``.
     """
     time_window(motion, medium, ts)
     first = float(np.min(ts))
@@ -346,7 +358,29 @@ def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) 
         raise NotYetReached(
             f"(x={x}, t={first}) is outside the causal cone: no signal has "
             f"arrived before x/c={x / medium.c}")
-    _snap(motion, medium, x, ts)
+    xa = _finite_receiver(x)
+    flat = np.ravel(np.asarray(ts, dtype=float))
+    peaks = []
+    for block in _blocks(flat.size):
+        lag = boundary_position(motion, flat[block]) - xa
+        worst = int(np.argmax(lag))
+        peaks.append((lag[worst], block.start + worst))
+    lag, worst = _first_peak(peaks)
+    _check_lag(medium, lag, xa, flat[worst])
+
+
+def _blocks(size: int):
+    """Slices covering ``range(size)`` in order, ``BLOCK`` points each but the last."""
+    return (slice(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK))
+
+
+def _first_peak(peaks):
+    """The peak a whole-grid ``np.argmax`` picks, from each block's ``(value, ...)`` peak.
+
+    Each block's peak is its first largest value (or its first NaN), so the
+    first block whose peak wins holds the whole grid's.
+    """
+    return peaks[int(np.argmax([peak[0] for peak in peaks]))]
 
 
 #: The exact range ``(min, max)`` of ``alpha'`` for each built-in profile.

@@ -21,6 +21,12 @@ root itself up to rounding.  From there it takes Newton steps, each from one
 it goes, and a step that would leave it falls back to the bracket midpoint
 (``rtsafe`` in *Numerical Recipes*).  Only points not yet within tolerance
 keep iterating; from the table most need one step.
+
+A long grid is solved one block of ``motion.BLOCK`` points at a time
+(:func:`_solved_blocks`), every block starting from the one table built for
+the whole grid, so each emission time is the one a whole-grid solve gives.
+The exact field, and :func:`compare_fields`' error norms, are built block by
+block on top, so no intermediate array is larger than a block.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ import numpy as np
 
 from .asymptotics import _fm, _lab_field
 from .errors import ArgumentOutOfRange, NoConvergence
-from .motion import BoundaryMotion, MediumParams, before_arrival, receiver_window, validate
+from .motion import (BoundaryMotion, MediumParams, _blocks, _first_peak, before_arrival,
+                     receiver_window, validate)
 
 #: Default solver tolerance scale: |residual| <= 1e-12 / omega keeps the
 #: oracle phase accurate to 1e-12 radians.
@@ -69,13 +76,15 @@ class ComparisonReport:
 
 
 def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
-                    ts: np.ndarray, tol: float):
+                    ts: np.ndarray, tol: float, table=None):
     """Safeguarded Newton solve of the retarded-time equation on a grid.
 
     ``ts`` is a non-empty 1-D grid with ``t - x/c >= 0`` (caller-checked).
     Every point starts from the inverse of the map ``t(S)`` tabulated over
-    the bracket ``[0, max t]`` (module docstring).  Each step takes ``g``
-    and ``g'`` from one :meth:`MotionProfile.eval` of ``(alpha, alpha')``,
+    the bracket ``[0, max t]`` (module docstring): ``table`` when given, as
+    :func:`_start_table` builds it for a whole grid of which ``ts`` is a
+    block, else a table built for ``ts`` alone.  Each step takes ``g`` and
+    ``g'`` from one :meth:`MotionProfile.eval` of ``(alpha, alpha')``,
     inside the bracket ``[0, t]``; only points with ``|g| > tol`` keep
     iterating, for at most ``MAX_ITERATIONS`` steps.  Returns ``(t_e,
     residual, iterations)`` arrays, ``iterations`` counting the Newton steps
@@ -84,8 +93,10 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     """
     c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
     t = np.asarray(ts, dtype=float)
-    # Only the start is kept, not its table; it is freed by the first step.
-    s = _tabulated_start(motion, medium, x, t)
+    if table is None:
+        table = _start_table(motion, medium, x, float(np.max(t)), t.size)
+    s = np.clip(np.interp(t, *table), 0.0, t)
+    del table  # a table built here dies before the first step
     te = np.empty_like(t)
     resid = np.empty_like(t)
     iters = np.zeros(t.shape, dtype=np.int64)
@@ -93,9 +104,9 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     idx = np.arange(t.size)
     rhs = t - x / c
     lo, hi = np.zeros_like(t), t
-    # Grids run to 10^5-10^6 points, so each array is dropped as soon as it
-    # is dead and the working set is compacted one array at a time: peak
-    # memory stays at about a dozen grid-sized arrays.
+    # Each array is dropped as soon as it is dead and the working set is
+    # compacted one array at a time: peak memory stays at about a dozen
+    # arrays the size of ts, which _solved_blocks keeps at BLOCK points.
     for it in range(MAX_ITERATIONS + 1):
         alpha, ap = motion.profile.eval(Omega * s, order=(0, 1))
         g = s - (v * s + a * alpha) / c - rhs
@@ -105,7 +116,7 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
             done[:] = True
         if done.all():
             # From the tabulated start every point usually finishes at
-            # once; masked copies here would each be grid-sized.
+            # once; masked copies here would each be the size of ts.
             te[idx], resid[idx], iters[idx] = s, np.abs(g, out=g), it
             break
         if done.any():
@@ -135,53 +146,78 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     return te, resid, iters
 
 
-def _tabulated_start(motion: BoundaryMotion, medium: MediumParams, x: float,
-                     t: np.ndarray) -> np.ndarray:
-    """Each point's start: ``t(S)`` tabulated over the bracket ``[0, max t]``, inverted.
+def _start_table(motion: BoundaryMotion, medium: MediumParams, x: float, s_hi: float,
+                 size: int):
+    """``(reception, emission)``: ``t(S)`` tabulated over the bracket ``[0, s_hi]``.
 
-    The table dies on return, so only the start array reaches the solve.
+    ``s_hi`` is the grid's latest time and ``size`` its point count, which
+    caps the rows; ``np.interp`` of the table starts each point.
     """
     c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
-    s_hi = float(np.max(t))
-    rows = max(2, min(t.size, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * s_hi)))
+    rows = max(2, min(size, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * s_hi)))
     emission = np.linspace(0.0, s_hi, rows)
     alpha, = motion.profile.eval(Omega * emission, order=(0,))
-    reception = x / c + emission - (v * emission + a * alpha) / c
-    del alpha
-    return np.clip(np.interp(t, reception, emission), 0.0, t)
+    return x / c + emission - (v * emission + a * alpha) / c, emission
+
+
+def _solved_blocks(motion: BoundaryMotion, medium: MediumParams, x: float, flat):
+    """:func:`_solve_retarded` to ``1e-12/omega`` over a 1-D grid, one block at a time.
+
+    Yields ``(block, t_e, residual, iterations)`` for each :func:`_blocks`
+    slice of ``flat`` in order.  One start table serves the whole grid, so
+    each point starts, and ends, exactly where a whole-grid solve puts it.
+    After a block stalls no further block is yielded, but every block is
+    still solved: :class:`NoConvergence` then names the worst residual of
+    the whole grid.  Consumers must run the generator to its end.
+    """
+    tol = DEFAULT_TOL_SCALE / medium.omega
+    table = _start_table(motion, medium, x, float(np.max(flat)), flat.size)
+    peaks, stalled = [], False
+    for block in _blocks(flat.size):
+        te, resid, iters = _solve_retarded(motion, medium, x, flat[block], tol, table)
+        worst = int(np.argmax(resid))
+        peaks.append((resid[worst], iters[worst], block.start + worst))
+        stalled = stalled or not resid[worst] <= tol  # a NaN residual stalls too
+        if not stalled:
+            yield block, te, resid, iters
+    if stalled:
+        residual, steps, worst = _first_peak(peaks)
+        raise NoConvergence(
+            f"retarded-time solve stalled at residual {residual:.3g} "
+            f"(> {tol:.3g}) after {steps} iterations for "
+            f"(x={x}, t={flat[worst]})"
+        )
 
 
 def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float, ts):
     """:func:`_solve_retarded` to ``1e-12/omega`` that raises :class:`NoConvergence` on a stall.
 
-    ``ts`` may have any shape: the solve runs on its flattened grid (a view
-    when ``ts`` is contiguous) and the results take the shape of ``ts``.
+    ``ts`` may have any shape: the solve runs on blocks of its flattened
+    grid (views when ``ts`` is contiguous) and the results take the shape
+    of ``ts``.
     """
-    tol = DEFAULT_TOL_SCALE / medium.omega
     ts = np.asarray(ts, dtype=float)
     flat = ts.ravel()
-    te, resid, iters = _solve_retarded(motion, medium, x, flat, tol)
-    worst = int(np.argmax(resid))
-    if not resid[worst] <= tol:  # a NaN residual stalls too
-        raise NoConvergence(
-            f"retarded-time solve stalled at residual {resid[worst]:.3g} "
-            f"(> {tol:.3g}) after {iters[worst]} iterations for "
-            f"(x={x}, t={flat[worst]})"
-        )
+    te, resid = np.empty_like(flat), np.empty_like(flat)
+    iters = np.empty(flat.shape, dtype=np.int64)
+    for block, *solved in _solved_blocks(motion, medium, x, flat):
+        te[block], resid[block], iters[block] = solved
     return te.reshape(ts.shape), resid.reshape(ts.shape), iters.reshape(ts.shape)
 
 
-def _exact_field(motion: BoundaryMotion, medium: MediumParams, group, x: float, ts,
-                 with_fm: bool):
-    """``(phase, fm)`` of the exact field ``exp(i*phase)`` at ``x`` over a guarded grid.
+def _exact_blocks(motion: BoundaryMotion, medium: MediumParams, group, x: float, flat,
+                  with_fm: bool):
+    """``(block, phase, fm)`` of the exact field ``exp(i*phase)`` at ``x``, block by block.
 
+    ``flat`` is a guarded 1-D grid, solved by :func:`_solved_blocks`.
     ``phase = omega*t_e``; ``fm`` is the FM factor at ``t_e`` (the exact
     received frequency over ``omega``), or None unless ``with_fm`` is set.
     """
-    te = _solve_checked(motion, medium, x, ts)[0]
-    fm = (_fm(group.beta, group.delta, motion.profile.eval(motion.Omega * te, order=(1,))[0])
-          if with_fm else None)
-    return medium.omega * te, fm
+    for block, te, _, _ in _solved_blocks(motion, medium, x, flat):
+        fm = (_fm(group.beta, group.delta,
+                  motion.profile.eval(motion.Omega * te, order=(1,))[0])
+              if with_fm else None)
+        yield block, medium.omega * te, fm
 
 
 def retarded_time(motion: BoundaryMotion, medium: MediumParams, x: float,
@@ -208,7 +244,8 @@ def exact_field(motion: BoundaryMotion, medium: MediumParams, x: float,
     if before_arrival(medium, x, t):
         return 0.0j
     receiver_window(motion, medium, x, [t])
-    phase, _ = _exact_field(motion, medium, group, x, [t], False)
+    (_, phase, _), = _exact_blocks(motion, medium, group, x, np.array([t], dtype=float),
+                                   False)
     return complex(np.exp(1j * phase)[0])
 
 
@@ -222,7 +259,7 @@ def exact_instantaneous_frequency(motion: BoundaryMotion, medium: MediumParams,
     """
     group = validate(motion, medium)
     receiver_window(motion, medium, x, [t])
-    _, fm = _exact_field(motion, medium, group, x, [t], True)
+    (_, _, fm), = _exact_blocks(motion, medium, group, x, np.array([t], dtype=float), True)
     return medium.omega * float(fm[0])
 
 
@@ -236,7 +273,10 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     side by differentiating its closed-form phase, the exact side through
     the emission time), so the reported errors carry no finite-difference
     noise.  The whole window must lie inside the causal cone and ahead of
-    the boundary.
+    the boundary.  Both sides are evaluated one block of the grid at a time
+    (:func:`~dopplerlab.motion._blocks`) into three running maxima, so
+    memory beyond the time grid itself does not grow with ``n_samples``;
+    the norms equal those of a whole-grid evaluation exactly.
     """
     group = validate(motion, medium)
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
@@ -247,19 +287,16 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     ts = np.linspace(t_lo, t_hi, int(n_samples))
     receiver_window(motion, medium, x, ts)
 
-    # The exact side goes first, so its emission times are dropped before
-    # the asymptotic side evaluates the profile: peak memory stays at the
-    # solver's.
-    phase_exact, fm_exact = _exact_field(motion, medium, group, x, ts, True)
-    freq_exact = medium.omega * fm_exact
-    del fm_exact
-    phase, am, fm, freq_asym = _lab_field(motion, medium, group, x, ts, include_phase_shift,
-                                          with_rate=True)
-    max_phase = float(np.max(np.abs(phase - phase_exact)))
-    del phase, phase_exact, fm
-    max_modulus = float(np.max(np.abs(np.abs(am) - 1.0)))
-    del am
-    max_freq = float(np.max(np.abs(freq_asym - freq_exact) / freq_exact))
+    # (phase, freq, modulus); np.maximum keeps a NaN, as np.max over the grid does.
+    maxima = np.full(3, -np.inf)
+    for block, phase_exact, fm_exact in _exact_blocks(motion, medium, group, x, ts, True):
+        freq_exact = medium.omega * fm_exact
+        phase, am, _, freq_asym = _lab_field(motion, medium, group, x, ts[block],
+                                             include_phase_shift, with_rate=True)
+        np.maximum(maxima, [np.max(np.abs(phase - phase_exact)),
+                            np.max(np.abs(freq_asym - freq_exact) / freq_exact),
+                            np.max(np.abs(np.abs(am) - 1.0))], out=maxima)
+    max_phase, max_freq, max_modulus = map(float, maxima)
 
     return ComparisonReport(max_modulus_error=max_modulus,
                             max_phase_error=max_phase,

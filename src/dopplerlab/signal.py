@@ -15,9 +15,9 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import AliasingSuspected, ArgumentOutOfRange
-from .motion import BoundaryMotion, MediumParams, receiver_window, validate
+from .motion import BoundaryMotion, MediumParams, _blocks, receiver_window, validate
 # oracle holds both sources' field builders (the asymptotic one it compares against).
-from .oracle import _exact_field, _lab_field
+from .oracle import _exact_blocks, _lab_field
 
 SOURCES = ("asymptotic", "oracle")
 WINDOWS = ("rectangular", "hann")
@@ -79,22 +79,35 @@ def sample_on_grid(source: str, motion: BoundaryMotion, medium: MediumParams, x:
     The one path that samples a receiver.  The whole grid must pass
     :func:`~dopplerlab.motion.receiver_window`: inside the causal cone and
     ahead of the boundary, with no acausal zero-padding.  Returns
-    ``(values, fm)``.  The oracle gives ``exp(i*omega*t_e)`` with FM at the
-    emission time (the exact received frequency over ``omega``), and
-    computes it only when ``with_fm`` is set (``fm`` is None otherwise).
-    The asymptotic source gives ``AM * exp(i*phase)`` with FM at the
-    reception time; ``include_phase_shift`` only affects this source.
+    ``(values, fm)`` in the shape of ``ts``.  The oracle gives
+    ``exp(i*omega*t_e)`` with FM at the emission time (the exact received
+    frequency over ``omega``), and computes it only when ``with_fm`` is set
+    (``fm`` is None otherwise).  The asymptotic source gives
+    ``AM * exp(i*phase)`` with FM at the reception time;
+    ``include_phase_shift`` only affects this source.  Either source fills
+    the two outputs one block of the grid at a time
+    (:func:`~dopplerlab.motion._blocks`), so memory beyond the grid and
+    the outputs does not grow with its length.
     """
     if source not in SOURCES:
         raise ArgumentOutOfRange(f"source must be one of {SOURCES}, got {source!r}")
     group = validate(motion, medium)
     ts = np.asarray(ts, dtype=float)
     receiver_window(motion, medium, x, ts)
+    flat = ts.ravel()
+    values = np.empty(flat.shape, dtype=complex)
+    fm = np.empty(flat.shape) if with_fm or source == "asymptotic" else None
     if source == "oracle":
-        phase, fm = _exact_field(motion, medium, group, x, ts, with_fm)
-        return np.exp(1j * phase), fm
-    phase, am, fm, _ = _lab_field(motion, medium, group, x, ts, include_phase_shift)
-    return am * np.exp(1j * phase), fm
+        for block, phase, fm_block in _exact_blocks(motion, medium, group, x, flat, with_fm):
+            values[block] = np.exp(1j * phase)
+            if with_fm:
+                fm[block] = fm_block
+    else:
+        for block in _blocks(flat.size):
+            phase, am, fm[block], _ = _lab_field(motion, medium, group, x, flat[block],
+                                                 include_phase_shift)
+            values[block] = am * np.exp(1j * phase)
+    return values.reshape(ts.shape), None if fm is None else fm.reshape(ts.shape)
 
 
 def sample_receiver(source: str, motion: BoundaryMotion, medium: MediumParams,

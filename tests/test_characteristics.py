@@ -15,7 +15,7 @@ from dopplerlab.characteristics import (
     transport_solution,
 )
 from dopplerlab.errors import ArgumentOutOfRange, SupersonicMotion
-from dopplerlab.motion import MotionProfile, boundary_position
+from dopplerlab.motion import MotionProfile, boundary_position, validate
 
 from conftest import make_motion
 
@@ -175,6 +175,39 @@ class TestGeneralExcitation:
         env = transport_amplitude("minus", coords.eta1, coords.tau1, m, medium)
         assert env == pytest.approx(am_factor(m, medium, x, t), abs=1e-12)
 
+    @pytest.mark.parametrize("profile,beta,delta", [
+        ("oscillatory", 0.1, 0.3),
+        ("decelerating", 0.0, -0.2),
+    ])
+    def test_validates_once_with_the_public_values(self, profile, beta, delta, medium,
+                                                   monkeypatch):
+        # The field is built from to_characteristic_coords and one
+        # transport_amplitude per family, bit for bit, on a single validate.
+        m = make_motion(profile, beta=beta, delta=delta, eps=0.1)
+        f = self._gaussian_bump
+        group = validate(m, medium)
+        for eta, tau in ((0.0, 3.0), (1.5, 8.0), (4.0, 30.0)):
+            coords = to_characteristic_coords(eta, tau, m, medium)
+            ap, = m.profile.eval(coords.tau1, order=(1,))
+            beta_tilde = group.beta + group.delta * ap
+            want = 0.0 + 0.0j
+            for family, arg in (("plus", coords.theta1 / (beta_tilde + 1.0)),
+                                ("minus", coords.theta2 / (beta_tilde - 1.0))):
+                env = transport_amplitude(family, coords.eta1, coords.tau1, m, medium)
+                want += 0.5 * env * f(arg)
+            calls = []
+            real = characteristics_mod.validate
+
+            def counted(motion, medium):
+                calls.append(motion)
+                return real(motion, medium)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(characteristics_mod, "validate", counted)
+                got = general_excitation_field(f, eta, tau, m, medium)
+            assert len(calls) == 1
+            assert got == complex(want)
+
     def test_domain_bound_enforced(self, medium):
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
         f = self._gaussian_bump
@@ -198,16 +231,25 @@ def _excitation(u):
     lambda m, med: transport_amplitude("minus", math.nan, 1.0, m, med),
     lambda m, med: transport_amplitude("plus", 0.5, math.inf, m, med),
     lambda m, med: general_excitation_field(_excitation, math.nan, 1.0, m, med),
+    lambda m, med: to_characteristic_coords(np.array([1.0, 2.0]), 1.0, m, med),
+    lambda m, med: to_characteristic_coords(1.0, np.array([1.0, 2.0]), m, med),
+    lambda m, med: general_excitation_field(_excitation, np.array([1.0, 2.0]), 1.0, m, med),
+    lambda m, med: general_excitation_field(_excitation, 1.0, np.array([1.0, 2.0]), m, med),
+    lambda m, med: transport_solution("minus", np.array([0.1, 0.2]), 1.0, m, med),
+    lambda m, med: transport_solution("plus", 0.1, np.array([1.0, 2.0]), m, med),
     lambda m, med: wavenumber(math.nan),
     lambda m, med: wavenumber(np.array([0.5, -math.inf])),
     lambda m, med: classical_doppler(1.0, math.nan),
     lambda m, med: classical_doppler(1.0, -math.inf),
 ], ids=["moving-frame-inf-eta", "moving-frame-nan-eta", "coords-nan-eta", "coords-nan-tau",
         "coords-inf-eta", "slow-nan-eta", "slow-nan-tau", "slow-inf-eta",
-        "transport-nan-eta", "transport-inf-tau", "excitation-nan-eta", "wavenumber-nan",
+        "transport-nan-eta", "transport-inf-tau", "excitation-nan-eta",
+        "coords-array-eta", "coords-array-tau", "excitation-array-eta",
+        "excitation-array-tau", "solution-array-eta", "solution-array-tau", "wavenumber-nan",
         "wavenumber-minus-inf", "doppler-nan-beta", "doppler-minus-inf-beta"])
 def test_non_finite_coordinate_rejected(call, medium):
-    # Each of these returned NaN (or a meaningless number) instead of raising.
+    # Each of these returned NaN (or a meaningless number), or raised an
+    # untyped TypeError for an array point, instead of a typed error.
     m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
     with pytest.raises(ArgumentOutOfRange) as excinfo:
         call(m, medium)

@@ -230,9 +230,9 @@ class TestSolver:
         seen = []
         real = oracle_mod._solve_retarded
 
-        def spy(motion, medium, x, grid, tol):
+        def spy(motion, medium, x, grid, *rest):
             seen.append(grid)
-            return real(motion, medium, x, grid, tol)
+            return real(motion, medium, x, grid, *rest)
 
         monkeypatch.setattr(oracle_mod, "_solve_retarded", spy)
         te = oracle_mod._solve_checked(m, medium, 6.0, ts)[0]
