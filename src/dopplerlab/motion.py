@@ -303,6 +303,23 @@ def time_window(motion: BoundaryMotion, medium: MediumParams, ts) -> None:
             f"MAX_OMEGA_T=2**32: float phase resolution is lost")
 
 
+def sample_grid(n, grid) -> np.ndarray:
+    """``grid(int(n))``: the time grid of ``n`` samples, built once ``n`` passes.
+
+    :class:`ArgumentOutOfRange` rejects a count that is not finite or below
+    2 (NaN fails too), and one whose grid NumPy refuses to allocate: larger
+    than the address space (``ValueError``) or than the allocator can
+    provide (``MemoryError``), before any sample is computed.
+    """
+    if not 2 <= n < np.inf:  # NaN fails both
+        raise ArgumentOutOfRange(f"need a finite count of at least 2 samples, got {n}")
+    try:
+        return grid(int(n))
+    except (MemoryError, ValueError) as exc:
+        raise ArgumentOutOfRange(f"a grid of {int(n)} samples does not fit in memory "
+                                 f"({exc})") from None
+
+
 def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
     """The boundary rule: ``max(x, X_s(t))`` for a receiver ahead of the boundary.
 

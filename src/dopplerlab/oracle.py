@@ -39,7 +39,7 @@ import numpy as np
 from .asymptotics import _fm, _lab_field
 from .errors import ArgumentOutOfRange, NoConvergence
 from .motion import (BoundaryMotion, MediumParams, _blocks, _first_peak, before_arrival,
-                     receiver_window, validate)
+                     receiver_window, sample_grid, validate)
 
 #: Default solver tolerance scale: |residual| <= 1e-12 / omega keeps the
 #: oracle phase accurate to 1e-12 radians.
@@ -282,9 +282,7 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
     if not (t_hi > t_lo):
         raise ArgumentOutOfRange(f"empty comparison window {t_window}")
-    if not 2 <= n_samples < np.inf:  # NaN fails both
-        raise ArgumentOutOfRange(f"need a finite count of at least 2 samples, got {n_samples}")
-    ts = np.linspace(t_lo, t_hi, int(n_samples))
+    ts = sample_grid(n_samples, lambda n: np.linspace(t_lo, t_hi, n))
     receiver_window(motion, medium, x, ts)
 
     # (phase, freq, modulus); np.maximum keeps a NaN, as np.max over the grid does.

@@ -15,7 +15,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import AliasingSuspected, ArgumentOutOfRange
-from .motion import BoundaryMotion, MediumParams, _blocks, receiver_window, validate
+from .motion import (BoundaryMotion, MediumParams, _blocks, receiver_window, sample_grid,
+                     validate)
 # oracle holds both sources' field builders (the asymptotic one it compares against).
 from .oracle import _exact_blocks, _lab_field
 
@@ -118,12 +119,10 @@ def sample_receiver(source: str, motion: BoundaryMotion, medium: MediumParams,
     :func:`sample_on_grid` on that grid; ``include_phase_shift`` only
     affects the asymptotic source.
     """
-    if not 2 <= n < np.inf:  # NaN fails both
-        raise ArgumentOutOfRange(f"need a finite count of at least 2 samples, got {n}")
     if not (dt > 0.0):
         raise ArgumentOutOfRange(f"dt must be positive, got {dt}")
-    values, _ = sample_on_grid(source, motion, medium, x, t0 + dt * np.arange(int(n)),
-                               include_phase_shift)
+    ts = sample_grid(n, lambda k: t0 + dt * np.arange(k))
+    values, _ = sample_on_grid(source, motion, medium, x, ts, include_phase_shift)
     return ReceiverSeries(x=x, t0=float(t0), dt=float(dt), values=values,
                           source=source)
 
