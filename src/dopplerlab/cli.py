@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -408,18 +409,24 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per :data:`COMMANDS` row; argparse refuses any other flag (exit 2)."""
+    """One subparser per :data:`COMMANDS` row; argparse refuses any other flag (exit 2).
+
+    Built once per process and shared by every :func:`main` call: parsing
+    leaves the parser as it was, and it holds no handler, only each
+    subparser (so ``main`` can report leftovers with the command's usage).
+    """
     parser = argparse.ArgumentParser(
         prog="dopplerlab",
         description="Waves radiated by a moving boundary: modulation factors, "
                     "exact comparisons, figures, and spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, desc, flags) in COMMANDS.items():
+    for name, (_, desc, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=desc)
         for flag in flags + ("--out",):
             p.add_argument(flag, **{**FLAGS[flag], **FLAG_OVERRIDES.get((name, flag), {})})
-        p.set_defaults(handler=handler, parser=p)
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -444,11 +451,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if unread:  # reported with the command's own usage line
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
+        handler, _, flags = COMMANDS[args.command]
         run = ()
-        if "--config" in COMMANDS[args.command][2]:
+        if "--config" in flags:
             cfg = _build_config(args)
             run = (cfg, cfg.medium(), cfg.boundary_motion())
-        args.handler(args, *run)
+        handler(args, *run)
         return 0
     except DopplerLabError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

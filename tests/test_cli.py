@@ -452,6 +452,32 @@ class TestParser:
         assert "unrecognized arguments: --x 3" in err
         assert not out.exists()
 
+    def test_parser_built_once(self):
+        assert cli_mod.build_parser() is cli_mod.build_parser()
+
+    def test_shared_parser_keeps_each_run_apart(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["figure", "2", "--out", str(first)]) == 0
+        never = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run([*RUNS["fm"][0], "--x", "3", "--out", str(never)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: dopplerlab fm ")
+        assert run(["figure", "2", "--out", str(second)]) == 0
+        assert not never.exists()
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = set(re.findall(r"^    (\S+)", out, re.M))
+        assert listed == set(cli_mod.COMMANDS) == set(COMMAND_FLAGS)
+
     @pytest.mark.parametrize("command", [c for c in RUNS if c != "compare"])
     def test_eps_list_only_for_compare(self, tmp_path, capsys, command):
         out = tmp_path / "never"

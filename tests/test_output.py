@@ -2,7 +2,9 @@
 that the block formatters replaced, and no partial file or file set on a
 failure."""
 
+import hashlib
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 import dopplerlab.cli as cli_mod
 import dopplerlab.svgplot as svgplot_mod
 from dopplerlab.cli import CSV_BLOCK, main, write_csv
-from dopplerlab.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, line_plot
+from dopplerlab.svgplot import (FAST_MAX, HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T,
+                                WIDTH, _points, line_plot)
 
 SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-320,
            1.7976931348623157e308, 2.0 ** 60]
@@ -51,6 +54,19 @@ def loop_polylines(xdata, series):
 
 def polylines(path):
     return re.findall(r'<polyline points="([^"]*)"', path.read_text())
+
+
+def percent_points(x, y):
+    """The single ``%`` operation that :func:`_points` replaced."""
+    return (" ".join(["%.2f,%.2f"] * len(x))
+            % tuple(np.column_stack((x, y)).ravel().tolist()))
+
+
+#: SHA-256 of each figure's SVG files, recorded from the per-point ``%``
+#: writer: ticks, labels and legends as well as polylines.
+SVG_DIGESTS = dict(line.split()[::-1] for line in
+                   (Path(__file__).parent / "golden" / "figures_svg.sha256")
+                   .read_text().splitlines())
 
 
 class TestWriteCsv:
@@ -111,6 +127,53 @@ class TestLinePlot:
         path = tmp_path / "flat.svg"
         line_plot(str(path), "t", "x", "y", xdata, series)
         assert polylines(path) == loop_polylines(xdata, series)
+
+
+class TestPoints:
+    """:func:`_points` against ``%``, byte for byte, x and y swapped too."""
+
+    @pytest.mark.parametrize("values", [
+        [k / 8 for k in range(-40, 41)],                  # exact ties: 0.125 -> 0.12
+        [9.995, 99.999, 999.995, 0.995, -9.995, 99.995],  # carries
+        [-0.0, -0.004, 0.004, -0.005, 0.0, -0.001],       # negative zero
+        [float("nan"), float("inf"), -float("inf"), 1.0],
+        [FAST_MAX, -FAST_MAX, np.nextafter(FAST_MAX, 0), 9999999.995, 9999999.994,
+         1e8, -1.5e12, 1e300, 5e-324, 2.0 ** 60],
+    ], ids=["ties", "carries", "negative-zero", "non-finite", "fast-bound"])
+    def test_special_values(self, values):
+        v = np.array(values, dtype=float)
+        for x, y in ((v, v[::-1]), (v[::-1], v)):
+            assert _points(x, y) == percent_points(x, y)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5000])
+    def test_random_pixel_grids(self, rng, n):
+        for _ in range(5):
+            x = rng.uniform(-50, WIDTH + 50, size=n)
+            y = rng.uniform(-50, HEIGHT + 50, size=n)
+            ties = rng.random(n) < 0.1
+            y[ties] = rng.integers(-400, 8000, size=int(ties.sum())) / 8
+            assert _points(x, y) == percent_points(x, y)
+
+    def test_random_magnitudes(self, rng):
+        v = rng.normal(size=4000) * 10.0 ** rng.integers(-4, 10, size=4000)
+        assert _points(v[:2000], v[2000:]) == percent_points(v[:2000], v[2000:])
+
+
+class TestSvgMarkup:
+    def test_figure_svgs_match_recorded_digests(self, tmp_path):
+        for fig in ("1", "2", "3", "4"):
+            assert main(["figure", fig, "--out", str(tmp_path)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.glob("*.svg")}
+        assert written == SVG_DIGESTS
+
+    def test_text_is_escaped(self, tmp_path):
+        path = tmp_path / "marks.svg"
+        line_plot(str(path), "a<b & c>d", "x < 1", "y > 0", [0.0, 1.0],
+                  [("p&q", [0.0, 1.0], "solid"), ("<none>", [1.0, 0.0], "dashed")])
+        texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        for label in ("a<b & c>d", "x < 1", "y > 0", "p&q", "<none>"):
+            assert label in texts
 
 
 class TestNoPartialFile:
