@@ -4,8 +4,9 @@ The package models the signal received ahead of a boundary moving along a
 prescribed trajectory: a two-term asymptotic description (frequency and
 amplitude modulation factors plus a slowly varying phase shift), an exact
 retarded-time reference solution, a characteristics/transport view of the
-same field, and signal-processing helpers for instantaneous frequency and
-spectra.  A command-line tool (``dopplerlab``) drives CSV/SVG output.
+same outgoing field, and signal-processing helpers for instantaneous
+frequency and spectra.  A command-line tool (``dopplerlab``) drives CSV/SVG
+output.
 """
 
 from .asymptotics import (

@@ -89,10 +89,15 @@ def _fm(beta, delta, ap):
 
 
 def _am(profile: MotionProfile, beta, delta, eps, omega_x_c, slow_t, alpha):
-    """AM factor from the slow time and ``alpha`` there (two more evaluations of ``alpha'``)."""
-    ap_far, = profile.eval((1.0 - 2.0 * beta) * slow_t + eps * np.asarray(omega_x_c)
-                           - 2.0 * delta * alpha, order=(1,))
-    ap_src, = profile.eval((1.0 - beta) * slow_t - delta * alpha, order=(1,))
+    """AM factor from the slow time and ``alpha`` there (two more evaluations of ``alpha'``).
+
+    Both arguments are emission labels, exactly >= 0 for subsonic motion
+    at a receiver ahead of the boundary; each is clamped at 0 because it
+    can round below it at tiny slow times.
+    """
+    ap_far, = profile.eval(np.maximum((1.0 - 2.0 * beta) * slow_t + eps * np.asarray(omega_x_c)
+                                      - 2.0 * delta * alpha, 0.0), order=(1,))
+    ap_src, = profile.eval(np.maximum((1.0 - beta) * slow_t - delta * alpha, 0.0), order=(1,))
     return np.exp(-0.5 * delta * (np.asarray(ap_far) - np.asarray(ap_src)))
 
 
@@ -257,7 +262,7 @@ def moving_frame_field(motion: BoundaryMotion, medium: MediumParams,
         raise ArgumentOutOfRange("moving-frame distance eta must be finite and >= 0")
     st = eps * tau
     alpha, ap = motion.profile.eval(st, order=(0, 1))
-    base = (1.0 - beta) * st - delta * np.asarray(alpha)
+    base = np.maximum((1.0 - beta) * st - delta * np.asarray(alpha), 0.0)  # as in _am
     ap_far, = motion.profile.eval(base + eps * eta, order=(1,))
     ap_src, = motion.profile.eval(base, order=(1,))
     env = np.exp(-0.5 * delta * (np.asarray(ap_far) - np.asarray(ap_src)))

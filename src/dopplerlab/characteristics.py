@@ -1,25 +1,24 @@
 """Characteristic-coordinate form of the leading-order solution.
 
-The moving-frame wave operator factors into two transport families
-("plus": left-running, "minus": right-running relative to the boundary).
-Each family carries half of an arbitrary boundary excitation along its
-characteristic and is modulated by a real envelope obtained from the slow
-transport equations.  The minus family's envelope coincides with the AM
-factor of the lab-frame solution — an identity this module exists to make
-testable through an independent code path.
+The moving-frame wave operator factors into two characteristic families,
+but on the half-line ``x > X_s(t)`` the moving boundary is the only
+source, so only the outgoing (right-running) family carries a wave.  It
+carries the whole boundary excitation along its characteristic, modulated
+by a real envelope obtained from the slow transport equation.  That
+envelope coincides with the AM factor of the lab-frame solution — an
+identity this module exists to make testable through an independent code
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
 from .errors import ArgumentOutOfRange
 from .motion import BoundaryMotion, MediumParams, MotionProfile, _match, validate
-
-FAMILIES = ("plus", "minus")
 
 
 @dataclass(frozen=True)
@@ -34,16 +33,13 @@ class CharacteristicCoords:
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """One family's characteristic parameter and envelope value."""
+    """The outgoing family's characteristic parameter and envelope value."""
 
-    family: str
+    #: The one family that carries a wave: the outgoing one, whose fast
+    #: coordinate is ``theta2``.
+    family: ClassVar[str] = "minus"
     s_value: float
     amplitude: float
-
-
-def _require_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ArgumentOutOfRange(f"family must be one of {FAMILIES}, got {family!r}")
 
 
 def _require_coords(message: str, *coords) -> None:
@@ -87,91 +83,77 @@ def _coords(eta, tau, profile: MotionProfile, beta: float, delta: float, eps: fl
     ), beta_tilde
 
 
-def slow_characteristic(family: str, eta1, tau1, motion: BoundaryMotion,
-                        medium: MediumParams):
-    """Characteristic parameter ``s = (1 +- beta)*tau1 +- delta*alpha(tau1) -+ eta1``.
+def slow_characteristic(eta1, tau1, motion: BoundaryMotion, medium: MediumParams):
+    """Characteristic parameter ``s = (1 - beta)*tau1 - delta*alpha(tau1) + eta1``.
 
-    Upper signs belong to the plus family, lower signs to the minus family.
-    The motion goes through :func:`validate` first.
+    This is the emission label of the outgoing wave: ``Omega`` times the
+    time at which the boundary launched the characteristic that reaches
+    ``(eta1, tau1)``.  The motion goes through :func:`validate` first.
     """
-    _require_family(family)
     beta, delta, _ = validate(motion, medium)
-    return _slow_label(family, eta1, tau1, motion.profile, beta, delta)
+    return _slow_label(eta1, tau1, motion.profile, beta, delta)
 
 
-def _slow_label(family: str, eta1, tau1, profile: MotionProfile, beta: float,
-                delta: float):
-    """:func:`slow_characteristic` for a family and ``(beta, delta)`` already validated."""
+def _slow_label(eta1, tau1, profile: MotionProfile, beta: float, delta: float):
+    """:func:`slow_characteristic` for ``(beta, delta)`` already validated.
+
+    ``(1 - beta)*tau1 - delta*alpha(tau1)`` is exactly >= 0 for subsonic
+    motion but can round below 0 at tiny ``tau1``, so the label is clamped
+    at 0; every non-negative label is left bit for bit.
+    """
     t1 = np.asarray(tau1, dtype=float)
     e1 = np.asarray(eta1, dtype=float)
     _require_coords("slow coordinates must be finite and >= 0", t1, e1)
     alpha, = profile.eval(t1, order=(0,))
-    sign = 1.0 if family == "plus" else -1.0
-    s = (1.0 + sign * beta) * t1 + sign * delta * np.asarray(alpha) - sign * e1
-    return _match(s)
+    return _match(np.maximum((1.0 - beta) * t1 - delta * np.asarray(alpha) + e1, 0.0))
 
 
-def transport_amplitude(family: str, eta1, tau1, motion: BoundaryMotion,
-                        medium: MediumParams):
+def transport_amplitude(eta1, tau1, motion: BoundaryMotion, medium: MediumParams):
     """Real envelope ``exp{-(delta/2)[alpha'(s(eta1,tau1)) - alpha'(s(0,tau1))]}``."""
-    _require_family(family)
     beta, delta, _ = validate(motion, medium)
-    return _amplitude(family, eta1, tau1, motion.profile, beta, delta)
+    return _amplitude(eta1, tau1, motion.profile, beta, delta)
 
 
-def _amplitude(family: str, eta1, tau1, profile: MotionProfile, beta: float,
-               delta: float):
-    """:func:`transport_amplitude` for a family and ``(beta, delta)`` already validated."""
-    s_here = _slow_label(family, eta1, tau1, profile, beta, delta)
-    s_src = _slow_label(family, 0.0, tau1, profile, beta, delta)
-    # Plus-family labels can be negative ahead of the boundary-launched
-    # characteristics, so evaluate the profile formulas without the
-    # trajectory-time gate.
-    ap_here, = profile.eval_unchecked(s_here, order=(1,))
-    ap_src, = profile.eval_unchecked(s_src, order=(1,))
+def _amplitude(eta1, tau1, profile: MotionProfile, beta: float, delta: float):
+    """:func:`transport_amplitude` for ``(beta, delta)`` already validated."""
+    ap_here, = profile.eval(_slow_label(eta1, tau1, profile, beta, delta), order=(1,))
+    ap_src, = profile.eval(_slow_label(0.0, tau1, profile, beta, delta), order=(1,))
     return _match(np.exp(-0.5 * delta * (np.asarray(ap_here) - np.asarray(ap_src))))
 
 
-def transport_solution(family: str, eta1: float, tau1: float,
-                       motion: BoundaryMotion, medium: MediumParams) -> TransportSolution:
+def transport_solution(eta1: float, tau1: float, motion: BoundaryMotion,
+                       medium: MediumParams) -> TransportSolution:
     """Bundle ``slow_characteristic`` and ``transport_amplitude`` for one point."""
-    _require_family(family)
     beta, delta, _ = validate(motion, medium)
     eta1, tau1 = _point("slow coordinates must be finite and >= 0", eta1, tau1)
     return TransportSolution(
-        family=family,
-        s_value=float(_slow_label(family, eta1, tau1, motion.profile, beta, delta)),
-        amplitude=float(_amplitude(family, eta1, tau1, motion.profile, beta, delta)),
+        s_value=float(_slow_label(eta1, tau1, motion.profile, beta, delta)),
+        amplitude=float(_amplitude(eta1, tau1, motion.profile, beta, delta)),
     )
 
 
 def general_excitation_field(excitation: Callable[[float], complex], eta, tau,
                              motion: BoundaryMotion, medium: MediumParams,
                              domain: Optional[Tuple[float, float]] = None) -> complex:
-    """Leading-order field for an arbitrary boundary excitation.
+    """Leading-order outgoing field for an arbitrary boundary excitation.
 
-    The excitation splits into equal halves carried by the two families;
-    each half is evaluated at its family's fast argument
-    (``theta1/(beta_tilde+1)`` and ``theta2/(beta_tilde-1)``) and scaled by
-    that family's transport envelope.  At ``eta = 0`` the sum reconstructs
-    the excitation exactly.  ``eta`` and ``tau`` are one point.
+    The whole excitation rides the outgoing family: it is evaluated at the
+    fast argument ``theta2/(beta_tilde-1)`` and scaled by the transport
+    envelope.  At ``eta = 0`` this is the excitation itself; for
+    ``excitation(s) = e^{is}`` it is :func:`~dopplerlab.asymptotics.moving_frame_field`,
+    and for a boundary at rest it is ``excitation(tau - eta)``.  ``eta`` and
+    ``tau`` are one point.
 
     ``domain``, when given, declares the interval on which the excitation
     is defined; probing outside it raises :class:`ArgumentOutOfRange`.
     """
     beta, delta, eps = validate(motion, medium)
     coords, beta_tilde = _coords(eta, tau, motion.profile, beta, delta, eps)
-
-    arg_plus = coords.theta1 / (beta_tilde + 1.0)
-    arg_minus = coords.theta2 / (beta_tilde - 1.0)
-
-    total = 0.0 + 0.0j
-    for family, arg in (("plus", arg_plus), ("minus", arg_minus)):
-        if domain is not None and not (domain[0] <= arg <= domain[1]):
-            raise ArgumentOutOfRange(
-                f"{family}-family argument {arg:.6g} outside declared "
-                f"excitation domain [{domain[0]:.6g}, {domain[1]:.6g}]"
-            )
-        env = _amplitude(family, coords.eta1, coords.tau1, motion.profile, beta, delta)
-        total += 0.5 * env * excitation(arg)
-    return complex(total)
+    arg = coords.theta2 / (beta_tilde - 1.0)
+    if domain is not None and not (domain[0] <= arg <= domain[1]):
+        raise ArgumentOutOfRange(
+            f"excitation argument {arg:.6g} outside its declared domain "
+            f"[{domain[0]:.6g}, {domain[1]:.6g}]"
+        )
+    env = _amplitude(coords.eta1, coords.tau1, motion.profile, beta, delta)
+    return complex(env * excitation(arg))

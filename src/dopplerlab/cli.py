@@ -336,7 +336,7 @@ def cmd_appendix_check(args, cfg, medium, motion) -> None:
 
     grid = np.linspace(0.0, 2.0, 100)
     eta1, tau1 = np.meshgrid(grid, grid, indexing="ij")
-    envelope = transport_amplitude("minus", eta1, tau1, motion, medium)
+    envelope = transport_amplitude(eta1, tau1, motion, medium)
 
     # Matched lab-frame evaluation: t = tau1/Omega, x = X_s(t) + eta1*c/Omega.
     t = tau1 / motion.Omega
@@ -430,22 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _hold_freed_arrays() -> None:
-    """Fix glibc's mmap and trim thresholds so freed grid-sized arrays stay in the heap.
-
-    glibc otherwise raises both as blocks are freed, so whether the next
-    array reuses freed pages or faults in fresh ones depends on every earlier
-    allocation: one ``compare`` took anywhere from 20k to 50k page faults.
-    A no-op where the C library has no ``mallopt``.
-    """
-    with contextlib.suppress(AttributeError, OSError, TypeError):
-        import ctypes
-        ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MB
-        ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: 64 MB
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _hold_freed_arrays()
     parser = build_parser()
     args, unread = parser.parse_known_args(argv)
     if unread:  # reported with the command's own usage line

@@ -166,17 +166,22 @@ class MotionProfile:
         returns ``(alpha, alpha', alpha'')`` and ``order=(1,)`` returns
         ``(alpha',)``.  Only the requested derivatives are computed, so a
         custom profile calls only the callables named.  Accepts a scalar or
-        an ndarray.  Custom evaluators receive one Python float at a time
-        and must return a finite value that ``float()`` accepts; only the
-        values returned are checked, and a failure raises
+        an ndarray.  A negative argument raises :class:`ArgumentOutOfRange`
+        naming the most negative one.  Custom evaluators receive one Python
+        float at a time and must return a finite value that ``float()``
+        accepts; only the values returned are checked, and a failure raises
         :class:`ProfileEvaluationError` naming the first failing argument
         in ravel order.
         """
         arr = np.asarray(arg, dtype=float)
         if np.any(arr < 0.0):
-            raise ArgumentOutOfRange(f"profile argument must be >= 0, got {arg}")
-        values = self.eval_unchecked(arr, order)
+            raise ArgumentOutOfRange(f"profile argument must be >= 0, got "
+                                     f"{float(np.min(arr))!r} (the most negative of {arr.size})")
         if self.kind == "custom":
+            triple = (self.alpha, self.alpha_prime, self.alpha_pprime)
+            callables = tuple(triple[k] for k in order)
+            values = (_call_custom(callables, float(arr)) if arr.ndim == 0
+                      else _map_custom(callables, arr))
             finite = np.ones(arr.shape, dtype=bool)
             for v in values:
                 finite &= np.isfinite(v)
@@ -184,22 +189,7 @@ class MotionProfile:
                 u = float(arr.ravel()[np.argmin(np.ravel(finite))])
                 raise ProfileEvaluationError(
                     f"custom profile is not finite at argument {u!r}", argument=u)
-        return values
-
-    def eval_unchecked(self, arg, order=(0, 1, 2)):
-        """:meth:`eval` without the trajectory's ``arg >= 0`` gate.
-
-        Characteristic labels can be negative even when every time involved
-        is valid; the built-in closed forms continue naturally, and custom
-        evaluator triples are called as supplied (callers own the domain).
-        """
-        arr = np.asarray(arg, dtype=float)
-        if self.kind == "custom":
-            triple = (self.alpha, self.alpha_prime, self.alpha_pprime)
-            callables = tuple(triple[k] for k in order)
-            if arr.ndim == 0:
-                return _call_custom(callables, float(arr))
-            return _map_custom(callables, arr)
+            return values
         if self.kind == "constant":
             z = _match(np.zeros_like(arr))
             return tuple(z for _ in order)

@@ -152,6 +152,30 @@ class TestLeadingOrderField:
         assert abs(sample.value) == pytest.approx(sample.factors.am, abs=1e-15)
 
 
+class TestTinySlowTimes:
+    """Emission labels ``(1-beta)*S - delta*alpha(S)`` at tiny slow times ``S``.
+
+    They are exactly >= 0 for subsonic motion, but on the decelerating
+    profile with ``delta >= 0.5`` they round to about -1e-16 (``1 -
+    exp(-S)`` rounds up), which the profile's ``arg >= 0`` gate rejected.
+    """
+
+    @pytest.mark.parametrize("delta,t_max", [(0.5, 1e-15), (0.6, 1e-14), (0.9, 1e-13),
+                                             (0.999999, 1e-9)])
+    def test_am_on_boundary(self, medium, delta, t_max):
+        m = make_motion("decelerating", beta=0.0, delta=delta, eps=0.1)
+        t = np.linspace(0.0, t_max, 1001)
+        am = am_factor(m, medium, boundary_position(m, t), t)
+        assert np.max(np.abs(am - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("delta,t_max", [(0.5, 1e-15), (0.6, 1e-14), (0.999999, 1e-9)])
+    def test_moving_frame_on_boundary(self, medium, delta, t_max):
+        m = make_motion("decelerating", beta=0.0, delta=delta, eps=0.1)
+        tau = np.linspace(0.0, t_max, 1001)  # omega = 1
+        got = moving_frame_field(m, medium, 0.0, tau)
+        assert np.max(np.abs(got - np.exp(1j * tau))) < 1e-15
+
+
 class TestMovingFrameField:
     def test_boundary_condition(self, medium):
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)

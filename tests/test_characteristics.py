@@ -49,21 +49,19 @@ class TestCoordinates:
 class TestSlowCharacteristic:
     def test_origin_minus(self, medium):
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
-        assert slow_characteristic("minus", 0.0, 0.0, m, medium) == 0.0
+        assert slow_characteristic(0.0, 0.0, m, medium) == 0.0
 
     def test_classical_minus(self, medium):
         m = make_motion("constant", beta=0.0, delta=0.0, eps=0.1)
-        assert slow_characteristic("minus", 0.5, 1.0, m, medium) == 1.5
+        assert slow_characteristic(0.5, 1.0, m, medium) == 1.5
 
-    def test_classical_plus(self, medium):
-        m = make_motion("constant", beta=0.0, delta=0.0, eps=0.1)
-        assert slow_characteristic("plus", 0.5, 1.0, m, medium) == 0.5
-
-    def test_unknown_family_rejected(self, medium):
-        m = make_motion("constant", beta=0.0, delta=0.0, eps=0.1)
-        with pytest.raises(ArgumentOutOfRange):
-            slow_characteristic("sideways", 0.0, 0.0, m, medium)
-
+    def test_label_clamped_at_tiny_slow_time(self, medium):
+        # (1 - 0.6) * 6e-17 - 0.6 * (1 - exp(-6e-17)) rounds to -6.6e-18.
+        m = make_motion("decelerating", beta=0.0, delta=0.6, eps=0.1)
+        assert slow_characteristic(0.0, 6e-17, m, medium) == 0.0
+        assert transport_amplitude(0.0, 6e-17, m, medium) == 1.0
+        grid = np.linspace(0.0, 1e-15, 101)
+        assert np.all(np.asarray(slow_characteristic(0.0, grid, m, medium)) >= 0.0)
 
     def test_supersonic_motion_rejected(self, medium):
         # delta = 1.2 reaches the wave speed; the label used to be computed
@@ -71,7 +69,7 @@ class TestSlowCharacteristic:
         m = make_motion("oscillatory", beta=0.0, delta=1.2, eps=0.1)
         for call in (slow_characteristic, transport_amplitude):
             with pytest.raises(SupersonicMotion):
-                call("minus", 0.5, 1.0, m, medium)
+                call(0.5, 1.0, m, medium)
 
     @pytest.mark.parametrize("call", [slow_characteristic, transport_amplitude])
     def test_validates_once(self, call, medium, monkeypatch):
@@ -84,24 +82,21 @@ class TestSlowCharacteristic:
 
         monkeypatch.setattr(characteristics_mod, "validate", counted)
         m = make_motion("oscillatory", beta=0.1, delta=0.3, eps=0.1)
-        call("plus", 0.5, 1.0, m, medium)
+        call(0.5, 1.0, m, medium)
         assert len(calls) == 1
 
 
 class TestTransportAmplitude:
     def test_boundary_is_unity(self, medium):
         m = make_motion("oscillatory", beta=0.1, delta=0.3, eps=0.1)
-        for family in ("plus", "minus"):
-            for tau1 in (0.0, 0.7, 1.9):
-                assert transport_amplitude(family, 0.0, tau1, m,
-                                           medium) == pytest.approx(1.0, abs=1e-15)
+        for tau1 in (0.0, 0.7, 1.9):
+            assert transport_amplitude(0.0, tau1, m, medium) == pytest.approx(1.0, abs=1e-15)
 
     def test_no_acceleration_is_unity(self, medium):
         m = make_motion("constant", beta=0.4, delta=0.0, eps=0.1)
         grid = np.linspace(0.0, 2.0, 13)
-        for family in ("plus", "minus"):
-            vals = transport_amplitude(family, grid, 1.3, m, medium)
-            assert np.all(np.asarray(vals) == 1.0)
+        vals = transport_amplitude(grid, 1.3, m, medium)
+        assert np.all(np.asarray(vals) == 1.0)
 
     @pytest.mark.parametrize("profile,delta", [("oscillatory", 0.2),
                                                ("decelerating", -0.2)])
@@ -109,7 +104,7 @@ class TestTransportAmplitude:
         m = make_motion(profile, beta=0.0, delta=delta, eps=0.1)
         grid = np.linspace(0.0, 2.0, 100)
         eta1, tau1 = np.meshgrid(grid, grid, indexing="ij")
-        env = np.asarray(transport_amplitude("minus", eta1, tau1, m, medium))
+        env = np.asarray(transport_amplitude(eta1, tau1, m, medium))
         t = tau1 / m.Omega
         x = np.asarray(boundary_position(m, t)) + eta1 / m.Omega  # c = 1
         am = np.empty_like(env)
@@ -130,8 +125,7 @@ class TestTransportAmplitude:
         worst = 0.0
         for eta1 in grid:
             for tau1 in grid:
-                env = transport_amplitude("minus", float(eta1), float(tau1),
-                                          m, medium)
+                env = transport_amplitude(float(eta1), float(tau1), m, medium)
                 t = tau1 / m.Omega
                 x = boundary_position(m, t) + eta1 / m.Omega
                 worst = max(worst, abs(env - am_factor(m, medium, x, t)))
@@ -139,10 +133,10 @@ class TestTransportAmplitude:
 
     def test_solution_bundles_value_and_amplitude(self, medium):
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
-        sol = transport_solution("minus", 0.8, 1.1, m, medium)
+        sol = transport_solution(0.8, 1.1, m, medium)
         assert sol.family == "minus"
-        assert sol.s_value == slow_characteristic("minus", 0.8, 1.1, m, medium)
-        assert sol.amplitude == transport_amplitude("minus", 0.8, 1.1, m, medium)
+        assert sol.s_value == slow_characteristic(0.8, 1.1, m, medium)
+        assert sol.amplitude == transport_amplitude(0.8, 1.1, m, medium)
 
 
 class TestGeneralExcitation:
@@ -150,13 +144,25 @@ class TestGeneralExcitation:
     def _gaussian_bump(arg):
         return np.exp(-0.5 * (arg - 6.0) ** 2) * np.exp(1j * arg)
 
-    def test_classical_dalembert_split(self, medium):
+    def test_classical_pulse_travels_outward(self, medium):
+        # The half-line has no incoming wave: a boundary at rest sends the
+        # whole pulse outward.
         m = make_motion("constant", beta=0.0, delta=0.0, eps=0.1)
         f = self._gaussian_bump
-        for eta, tau in ((0.5, 4.0), (2.0, 9.0)):
+        for eta, tau in ((0.0, 6.0), (0.5, 4.0), (2.0, 9.0), (6.0, 12.0), (3.0, 40.0)):
             got = general_excitation_field(f, eta, tau, m, medium)
-            want = 0.5 * f(tau + eta) + 0.5 * f(tau - eta)
-            assert abs(got - want) < 1e-14
+            assert abs(got - f(tau - eta)) < 1e-14
+
+    @pytest.mark.parametrize("profile,delta", [("oscillatory", 0.2), ("decelerating", -0.2),
+                                               ("constant", 0.0)])
+    def test_harmonic_excitation_is_the_moving_frame_field(self, medium, profile, delta):
+        m = make_motion(profile, beta=0.1, delta=delta, eps=0.1)
+        worst = 0.0
+        for eta in np.linspace(0.0, 10.0, 21):
+            for tau in np.linspace(0.0, 40.0, 81):
+                got = general_excitation_field(_excitation, float(eta), float(tau), m, medium)
+                worst = max(worst, abs(got - moving_frame_field(m, medium, eta, tau)))
+        assert worst < 1e-13
 
     def test_boundary_reconstructs_excitation(self, medium):
         f = self._gaussian_bump
@@ -172,7 +178,7 @@ class TestGeneralExcitation:
         t = tau  # omega = 1
         x = boundary_position(m, t) + eta  # c = 1
         coords = to_characteristic_coords(eta, tau, m, medium)
-        env = transport_amplitude("minus", coords.eta1, coords.tau1, m, medium)
+        env = transport_amplitude(coords.eta1, coords.tau1, m, medium)
         assert env == pytest.approx(am_factor(m, medium, x, t), abs=1e-12)
 
     @pytest.mark.parametrize("profile,beta,delta", [
@@ -181,8 +187,8 @@ class TestGeneralExcitation:
     ])
     def test_validates_once_with_the_public_values(self, profile, beta, delta, medium,
                                                    monkeypatch):
-        # The field is built from to_characteristic_coords and one
-        # transport_amplitude per family, bit for bit, on a single validate.
+        # The field is built from to_characteristic_coords and the
+        # outgoing transport_amplitude, bit for bit, on a single validate.
         m = make_motion(profile, beta=beta, delta=delta, eps=0.1)
         f = self._gaussian_bump
         group = validate(m, medium)
@@ -190,11 +196,8 @@ class TestGeneralExcitation:
             coords = to_characteristic_coords(eta, tau, m, medium)
             ap, = m.profile.eval(coords.tau1, order=(1,))
             beta_tilde = group.beta + group.delta * ap
-            want = 0.0 + 0.0j
-            for family, arg in (("plus", coords.theta1 / (beta_tilde + 1.0)),
-                                ("minus", coords.theta2 / (beta_tilde - 1.0))):
-                env = transport_amplitude(family, coords.eta1, coords.tau1, m, medium)
-                want += 0.5 * env * f(arg)
+            env = transport_amplitude(coords.eta1, coords.tau1, m, medium)
+            want = env * f(coords.theta2 / (beta_tilde - 1.0))
             calls = []
             real = characteristics_mod.validate
 
@@ -225,18 +228,18 @@ def _excitation(u):
     lambda m, med: to_characteristic_coords(math.nan, 1.0, m, med),
     lambda m, med: to_characteristic_coords(1.0, math.nan, m, med),
     lambda m, med: to_characteristic_coords(math.inf, 1.0, m, med),
-    lambda m, med: slow_characteristic("minus", math.nan, 1.0, m, med),
-    lambda m, med: slow_characteristic("plus", 0.5, np.array([1.0, math.nan]), m, med),
-    lambda m, med: slow_characteristic("minus", math.inf, 1.0, m, med),
-    lambda m, med: transport_amplitude("minus", math.nan, 1.0, m, med),
-    lambda m, med: transport_amplitude("plus", 0.5, math.inf, m, med),
+    lambda m, med: slow_characteristic(math.nan, 1.0, m, med),
+    lambda m, med: slow_characteristic(0.5, np.array([1.0, math.nan]), m, med),
+    lambda m, med: slow_characteristic(math.inf, 1.0, m, med),
+    lambda m, med: transport_amplitude(math.nan, 1.0, m, med),
+    lambda m, med: transport_amplitude(0.5, math.inf, m, med),
     lambda m, med: general_excitation_field(_excitation, math.nan, 1.0, m, med),
     lambda m, med: to_characteristic_coords(np.array([1.0, 2.0]), 1.0, m, med),
     lambda m, med: to_characteristic_coords(1.0, np.array([1.0, 2.0]), m, med),
     lambda m, med: general_excitation_field(_excitation, np.array([1.0, 2.0]), 1.0, m, med),
     lambda m, med: general_excitation_field(_excitation, 1.0, np.array([1.0, 2.0]), m, med),
-    lambda m, med: transport_solution("minus", np.array([0.1, 0.2]), 1.0, m, med),
-    lambda m, med: transport_solution("plus", 0.1, np.array([1.0, 2.0]), m, med),
+    lambda m, med: transport_solution(np.array([0.1, 0.2]), 1.0, m, med),
+    lambda m, med: transport_solution(0.1, np.array([1.0, 2.0]), m, med),
     lambda m, med: wavenumber(math.nan),
     lambda m, med: wavenumber(np.array([0.5, -math.inf])),
     lambda m, med: classical_doppler(1.0, math.nan),

@@ -58,6 +58,15 @@ class TestProfileEval:
         with pytest.raises(ArgumentOutOfRange):
             MotionProfile.decelerating().eval(-0.5)
 
+    def test_negative_argument_message_names_the_most_negative(self):
+        args = np.linspace(0.0, 10.0, 10**4)
+        args[[17, 5000, 9000]] = (-1e-3, -0.25, -2e-16)
+        with pytest.raises(ArgumentOutOfRange) as excinfo:
+            MotionProfile.oscillatory().eval(args)
+        message = str(excinfo.value)
+        assert "got -0.25 " in message
+        assert len(message) < 100
+
     @pytest.mark.parametrize("order", [(0,), (1,), (2,), (0, 1), (0, 2), (2, 1)])
     @pytest.mark.parametrize("kind", ["constant", "decelerating", "oscillatory", "custom"])
     def test_order_selects_derivatives(self, kind, order):
