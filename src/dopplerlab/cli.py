@@ -316,11 +316,11 @@ def cmd_spectrum(args, cfg, medium, motion) -> None:
     signal_mod.instantaneous_frequency(series)
     spec = signal_mod.spectrum(series, SPECTRUM_WINDOWS[cfg.window])
 
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-    order = np.argsort(freqs)
+    # fftshift puts the DFT's bins in increasing frequency order.
+    freqs = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=dt))
     header = ["bin_center", "magnitude"]
     path, peaks_path = _land(args, [
-        ("spectrum.csv", write_csv, header, [freqs[order], spec.magnitudes[order]]),
+        ("spectrum.csv", write_csv, header, [freqs, np.fft.fftshift(spec.magnitudes)]),
         ("spectrum_peaks.csv", write_csv, header, list(zip(*spec.peaks)) or [(), ()])])
     print(f"spectrum: {n} samples, bin width {spec.bin_width:.6g}, "
           f"{len(spec.peaks)} peaks -> {path}")

@@ -58,6 +58,10 @@ BOUNDARY_CLAMP = 1e-12
 #: the cache and in pages the process already holds.
 BLOCK = 16384
 
+#: Points per slice that :func:`_map_custom` turns into Python floats with
+#: ``ndarray.tolist()``, so no list as long as the grid is ever built.
+_CUSTOM_SLICE = 1024
+
 
 @dataclass(frozen=True)
 class MediumParams:
@@ -174,7 +178,8 @@ class MotionProfile:
         in ravel order.
         """
         arr = np.asarray(arg, dtype=float)
-        if np.any(arr < 0.0):
+        # One reduction and no temporary; NaN and an empty grid pass.
+        if arr.min(initial=0.0) < 0.0:
             raise ArgumentOutOfRange(f"profile argument must be >= 0, got "
                                      f"{float(np.min(arr))!r} (the most negative of {arr.size})")
         if self.kind == "custom":
@@ -218,17 +223,25 @@ def _map_custom(callables, arr: np.ndarray) -> tuple:
 
     Every call receives and returns a Python float, exactly as
     :func:`_call_custom` does, so the values are bit-identical to a
-    point-by-point loop.  The points are iterated lazily: no list of the
-    whole grid is built.  On a failure the grid is rerun point by point to
-    name the first failing argument in ravel order.
+    point-by-point loop.  Each evaluator runs over the whole grid in ravel
+    order, one slice of at most ``_CUSTOM_SLICE`` points at a time: the
+    slice's ``tolist()`` gives the floats without a NumPy scalar per point,
+    and no list of the whole grid is built.  On a failure the grid is rerun
+    point by point to name the first failing argument in ravel order.
     """
+    flat = arr.ravel()
     try:
-        return tuple(
-            np.fromiter(map(float, map(f, map(float, arr.ravel()))), float,
-                        arr.size).reshape(arr.shape)
-            for f in callables)
+        values = []
+        for f in callables:
+            out = np.empty(flat.size)
+            for start in range(0, flat.size, _CUSTOM_SLICE):
+                us = flat[start:start + _CUSTOM_SLICE].tolist()
+                out[start:start + _CUSTOM_SLICE] = np.fromiter(map(float, map(f, us)),
+                                                               float, len(us))
+            values.append(out.reshape(arr.shape))
+        return tuple(values)
     except Exception as exc:
-        for u in arr.ravel():
+        for u in flat:
             _call_custom(callables, float(u))
         raise ProfileEvaluationError(
             f"custom profile evaluator failed on an array of shape {arr.shape}, "

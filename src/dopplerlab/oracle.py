@@ -20,7 +20,8 @@ root itself up to rounding.  From there it takes Newton steps, each from one
 ``alpha`` and ``alpha'``.  The ``[0, t]`` bracket shrinks around the root as
 it goes, and a step that would leave it falls back to the bracket midpoint
 (``rtsafe`` in *Numerical Recipes*).  Only points not yet within tolerance
-keep iterating; from the table most need one step.
+keep iterating; from the table most need one step.  A point's last pass
+evaluated ``alpha'`` at its emission time, so the exact FM reuses it.
 
 A long grid is solved one block of ``motion.BLOCK`` points at a time
 (:func:`_solved_blocks`), every block starting from the one table built for
@@ -76,7 +77,7 @@ class ComparisonReport:
 
 
 def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
-                    ts: np.ndarray, tol: float, table=None):
+                    ts: np.ndarray, tol: float, table=None, slope=None):
     """Safeguarded Newton solve of the retarded-time equation on a grid.
 
     ``ts`` is a non-empty 1-D grid with ``t - x/c >= 0`` (caller-checked).
@@ -89,7 +90,10 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     iterating, for at most ``MAX_ITERATIONS`` steps.  Returns ``(t_e,
     residual, iterations)`` arrays, ``iterations`` counting the Newton steps
     from each point's start; callers decide whether ``residual > tol`` is
-    fatal.
+    fatal.  ``slope``, an optional float array shaped like ``ts``, receives
+    the ``alpha'`` of each point's last evaluation, which is
+    ``alpha'(Omega*t_e)`` to the bit: the FM factor at ``t_e`` needs no
+    evaluation of its own.
     """
     c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
     t = np.asarray(ts, dtype=float)
@@ -97,11 +101,8 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
         table = _start_table(motion, medium, x, float(np.max(t)), t.size)
     s = np.clip(np.interp(t, *table), 0.0, t)
     del table  # a table built here dies before the first step
-    te = np.empty_like(t)
-    resid = np.empty_like(t)
-    iters = np.zeros(t.shape, dtype=np.int64)
 
-    idx = np.arange(t.size)
+    idx = None  # the points still iterating, once the working set is compacted
     rhs = t - x / c
     lo, hi = np.zeros_like(t), t
     # Each array is dropped as soon as it is dead and the working set is
@@ -116,14 +117,27 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
             done[:] = True
         if done.all():
             # From the tabulated start every point usually finishes at
-            # once; masked copies here would each be the size of ts.
+            # once, and with nothing compacted the working arrays are the
+            # results; masked copies here would each be the size of ts.
+            if idx is None:
+                if slope is not None:
+                    slope[:] = ap
+                return s, np.abs(g, out=g), np.full(t.shape, it, dtype=np.int64)
             te[idx], resid[idx], iters[idx] = s, np.abs(g, out=g), it
+            if slope is not None:
+                slope[idx] = ap
             break
         if done.any():
+            if idx is None:
+                idx = np.arange(t.size)
+                te, resid = np.empty_like(t), np.empty_like(t)
+                iters = np.empty(t.shape, dtype=np.int64)
             finished = idx[done]
             te[finished] = s[done]
             resid[finished] = np.abs(g[done])
             iters[finished] = it
+            if slope is not None:
+                slope[finished] = ap[done]
             keep = ~done
             idx = idx[keep]
             rhs = rhs[keep]
@@ -163,23 +177,26 @@ def _start_table(motion: BoundaryMotion, medium: MediumParams, x: float, s_hi: f
 def _solved_blocks(motion: BoundaryMotion, medium: MediumParams, x: float, flat):
     """:func:`_solve_retarded` to ``1e-12/omega`` over a 1-D grid, one block at a time.
 
-    Yields ``(block, t_e, residual, iterations)`` for each :func:`_blocks`
-    slice of ``flat`` in order.  One start table serves the whole grid, so
-    each point starts, and ends, exactly where a whole-grid solve puts it.
-    After a block stalls no further block is yielded, but every block is
-    still solved: :class:`NoConvergence` then names the worst residual of
-    the whole grid.  Consumers must run the generator to its end.
+    Yields ``(block, t_e, residual, iterations, slope)`` for each
+    :func:`_blocks` slice of ``flat`` in order, ``slope`` being
+    ``alpha'(Omega*t_e)`` from the solve's last evaluation.  One start
+    table serves the whole grid, so each point starts, and ends, exactly
+    where a whole-grid solve puts it.  After a block stalls no further
+    block is yielded, but every block is still solved:
+    :class:`NoConvergence` then names the worst residual of the whole
+    grid.  Consumers must run the generator to its end.
     """
     tol = DEFAULT_TOL_SCALE / medium.omega
     table = _start_table(motion, medium, x, float(np.max(flat)), flat.size)
     peaks, stalled = [], False
     for block in _blocks(flat.size):
-        te, resid, iters = _solve_retarded(motion, medium, x, flat[block], tol, table)
+        slope = np.empty(block.stop - block.start)
+        te, resid, iters = _solve_retarded(motion, medium, x, flat[block], tol, table, slope)
         worst = int(np.argmax(resid))
         peaks.append((resid[worst], iters[worst], block.start + worst))
         stalled = stalled or not resid[worst] <= tol  # a NaN residual stalls too
         if not stalled:
-            yield block, te, resid, iters
+            yield block, te, resid, iters, slope
     if stalled:
         residual, steps, worst = _first_peak(peaks)
         raise NoConvergence(
@@ -200,7 +217,7 @@ def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float, ts):
     flat = ts.ravel()
     te, resid = np.empty_like(flat), np.empty_like(flat)
     iters = np.empty(flat.shape, dtype=np.int64)
-    for block, *solved in _solved_blocks(motion, medium, x, flat):
+    for block, *solved, _ in _solved_blocks(motion, medium, x, flat):
         te[block], resid[block], iters[block] = solved
     return te.reshape(ts.shape), resid.reshape(ts.shape), iters.reshape(ts.shape)
 
@@ -212,11 +229,11 @@ def _exact_blocks(motion: BoundaryMotion, medium: MediumParams, group, x: float,
     ``flat`` is a guarded 1-D grid, solved by :func:`_solved_blocks`.
     ``phase = omega*t_e``; ``fm`` is the FM factor at ``t_e`` (the exact
     received frequency over ``omega``), or None unless ``with_fm`` is set.
+    ``fm`` is built from the ``alpha'(Omega*t_e)`` of the solve's last
+    Newton pass, so it costs no profile evaluation of its own.
     """
-    for block, te, _, _ in _solved_blocks(motion, medium, x, flat):
-        fm = (_fm(group.beta, group.delta,
-                  motion.profile.eval(motion.Omega * te, order=(1,))[0])
-              if with_fm else None)
+    for block, te, _, _, slope in _solved_blocks(motion, medium, x, flat):
+        fm = _fm(group.beta, group.delta, slope) if with_fm else None
         yield block, medium.omega * te, fm
 
 

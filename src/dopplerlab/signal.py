@@ -30,9 +30,6 @@ ALIASING_FRACTION = 0.95
 #: Peaks must clear this fraction of the global spectral maximum.
 PEAK_THRESHOLD = 0.01
 
-#: Minimum separation between reported peaks, in bins.
-PEAK_MIN_SEPARATION = 2
-
 
 @dataclass(frozen=True)
 class ReceiverSeries:
@@ -154,10 +151,12 @@ def spectrum(series: ReceiverSeries, window: str = "rectangular") -> Spectrum:
     """DFT magnitude spectrum with peak detection.
 
     ``bin_width = 2*pi / (n*dt)``; peaks are interior local maxima above
-    1% of the global maximum, thinned to a minimum separation of 2 bins
-    (larger magnitude wins), reported as ``(bin center, magnitude)`` pairs
-    sorted by descending magnitude.  Bin centers are signed angular
-    frequencies in natural DFT order.
+    1% of the global maximum (strictly above the left neighbour, at least
+    the right one), reported as ``(bin center, magnitude)`` pairs sorted by
+    descending magnitude, ties in bin order.  No two peaks are adjacent:
+    bin ``k`` is a peak only if ``mags[k] >= mags[k+1]``, and then bin
+    ``k+1`` is not strictly above its left neighbour.  Bin centers are
+    signed angular frequencies in natural DFT order.
     """
     if window not in WINDOWS:
         raise ArgumentOutOfRange(f"window must be one of {WINDOWS}, got {window!r}")
@@ -175,11 +174,7 @@ def spectrum(series: ReceiverSeries, window: str = "rectangular") -> Spectrum:
     candidates = 1 + np.flatnonzero((inner > PEAK_THRESHOLD * float(np.max(mags)))
                                     & (inner > mags[:-2]) & (inner >= mags[2:]))
     candidates = candidates[np.argsort(-mags[candidates], kind="stable")]
-    kept: List[int] = []
-    for k in candidates:
-        if all(abs(k - j) >= PEAK_MIN_SEPARATION for j in kept):
-            kept.append(k)
-    peaks = [(float(centers[k]), float(mags[k])) for k in kept]
+    peaks = [(float(centers[k]), float(mags[k])) for k in candidates]
     return Spectrum(bin_width=float(bin_width), magnitudes=mags, peaks=peaks)
 
 

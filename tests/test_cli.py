@@ -316,6 +316,31 @@ class TestSpectrumCommand:
         assert len(data["bin_center"]) == 256  # flag overrode config
 
 
+    @pytest.mark.parametrize("samples", [2048, 2047])
+    def test_bins_in_frequency_order(self, out_dir, tmp_path, monkeypatch, samples):
+        # spectrum.csv holds the bins in increasing frequency: the bytes an
+        # argsort of the DFT frequencies gives, for an even and an odd count.
+        seen = []
+        real = cli_mod.signal_mod.spectrum
+
+        def spy(series, window):
+            seen.append((series, real(series, window)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli_mod.signal_mod, "spectrum", spy)
+        assert run(["spectrum", "--profile", "oscillatory", "--beta", "0",
+                    "--delta", "0.2", "--eps", "0.1", "--x", "5",
+                    "--t-min", "5", "--t-max", "319.2",
+                    "--samples", str(samples), "--source", "oracle"]) == 0
+        (series, spec), = seen
+        freqs = 2.0 * np.pi * np.fft.fftfreq(samples, d=series.dt)
+        order = np.argsort(freqs)
+        want = tmp_path / "want.csv"
+        cli_mod.write_csv(str(want), ["bin_center", "magnitude"],
+                          [freqs[order], spec.magnitudes[order]])
+        assert (out_dir / "spectrum.csv").read_bytes() == want.read_bytes()
+
+
 class TestAppendixCheck:
     def test_builtin_profiles_pass(self, out_dir, capsys):
         for profile, delta in (("oscillatory", "0.2"), ("decelerating", "-0.2")):

@@ -67,6 +67,14 @@ class TestProfileEval:
         assert "got -0.25 " in message
         assert len(message) < 100
 
+    def test_nan_and_empty_pass_the_sign_gate(self):
+        a, ap = MotionProfile.oscillatory().eval(np.array([np.nan, -0.0, 1.0]), order=(0, 1))
+        assert np.isnan(a[0]) and np.isnan(ap[0]) and ap[1] == 1.0
+        assert math.isnan(MotionProfile.decelerating().eval(math.nan, order=(1,))[0])
+        for empty in (np.empty(0), np.empty((3, 0))):
+            values = MotionProfile.oscillatory().eval(empty)
+            assert [v.shape for v in values] == [empty.shape] * 3
+
     @pytest.mark.parametrize("order", [(0,), (1,), (2,), (0, 1), (0, 2), (2, 1)])
     @pytest.mark.parametrize("kind", ["constant", "decelerating", "oscillatory", "custom"])
     def test_order_selects_derivatives(self, kind, order):
@@ -232,6 +240,34 @@ class TestCustomArrayEvaluation:
             prof.eval(np.arange(8.0))
         assert excinfo.value.argument is None
         assert str(excinfo.value.__cause__) == "first call only"
+
+    @pytest.mark.parametrize("layout", ["flat", "2-D", "transposed"])
+    def test_callables_receive_python_floats_in_ravel_order(self, layout):
+        # 2,500 points cross the boundaries of the 1,024-point slices.
+        seen = []
+
+        def recorded(u):
+            seen.append(u)
+            return math.sin(u)
+
+        prof = _sine_twin(alpha_prime=recorded)
+        args = np.random.default_rng(5).uniform(0.0, 12.0, size=2500)
+        args = {"flat": args, "2-D": args.reshape(50, 50),
+                "transposed": args.reshape(25, 100).T}[layout]
+        seen.clear()
+        ap, = prof.eval(args, order=(1,))
+        assert all(type(u) is float for u in seen)
+        assert np.array_equal(np.array(seen), args.ravel())
+        assert ap.tobytes() == np.array([math.sin(u) for u in args.ravel()]).tobytes()
+
+    def test_failure_past_the_first_slice_named(self):
+        args = np.linspace(0.0, 12.0, 2500).reshape(50, 50)
+        first = float(args.ravel()[2100])
+        prof = _sine_twin(_fails_from(float(args.ravel()[2300]), lambda u: 1.0 - math.cos(u)),
+                          _fails_from(first, math.sin), horizon=2.0)
+        with pytest.raises(ProfileEvaluationError) as excinfo:
+            prof.eval(args)
+        assert excinfo.value.argument == first
 
     def test_alpha_prime_failure_at_construction_named(self):
         with pytest.raises(ProfileEvaluationError) as excinfo:

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import dopplerlab.oracle as oracle_mod
-from dopplerlab.asymptotics import fm_factor
+from dopplerlab.asymptotics import _fm, _lab_field, fm_factor
 from dopplerlab.errors import (
     ArgumentOutOfRange,
     NoConvergence,
     NotYetReached,
     ObserverInsideBoundary,
 )
-from dopplerlab.motion import MotionProfile, _profile_speed_sup, boundary_position, validate
+from dopplerlab.motion import (BLOCK, MotionProfile, _profile_speed_sup, boundary_position,
+                               validate)
 from dopplerlab.oracle import (
     compare_fields,
     exact_field,
@@ -301,6 +302,82 @@ class TestProfileCalls:
         sample_receiver("asymptotic", m, medium, 10.0, 10.5, 0.1, 2000)
         assert calls["alpha''"] == 0
         assert calls["alpha"] > 0 and calls["alpha'"] > 0
+
+
+    def test_compare_takes_fm_from_the_solve(self, medium):
+        # Beyond the solve and the asymptotic side, compare_fields calls
+        # alpha' nowhere: an FM evaluation of its own would add n calls.
+        calls = Counter()
+        m = make_motion(counting_profile(calls), beta=0.0, delta=0.3, eps=0.1)
+        x, n = 10.0, 3000
+        ts = np.linspace(10.5, 500.0, n)
+        calls.clear()
+        compare_fields(m, medium, x, (10.5, 500.0), n)
+        in_compare = calls["alpha'"]
+        calls.clear()
+        oracle_mod._solve_checked(m, medium, x, ts)
+        _lab_field(m, medium, validate(m, medium), x, ts, True, with_rate=True)
+        assert in_compare == calls["alpha'"]
+
+    def test_compare_evaluates_alpha_prime_alone_twice_per_block(self, medium,
+                                                                   monkeypatch):
+        # Per block the asymptotic AM takes alpha' at its two emission
+        # labels; the exact FM takes none.
+        calls = Counter()
+        real = MotionProfile.eval
+
+        def counted(profile, arg, order=(0, 1, 2)):
+            calls[order] += 1
+            return real(profile, arg, order)
+
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        monkeypatch.setattr(MotionProfile, "eval", counted)
+        compare_fields(m, medium, 2.8, (2.8, 100.0), 2 * BLOCK + 1)
+        assert calls[(1,)] == 2 * 3
+
+
+def _exp_twin() -> MotionProfile:
+    return MotionProfile.custom(lambda u: 1.0 - math.exp(-u), lambda u: math.exp(-u),
+                                lambda u: -math.exp(-u), horizon=120.0)
+
+
+class TestFmFromTheSolve:
+    """The exact FM is built from the solve's last ``alpha'``, to the bit."""
+
+    @pytest.mark.parametrize("profile,beta,delta,ts", [
+        ("oscillatory", 0.0, 0.2, np.linspace(1000.0, 1010.0, 1001)),
+        ("sine", 0.0, 0.3, np.linspace(1000.0, 1010.0, 1001)),
+        ("oscillatory", 0.0, 0.2, np.linspace(100.0, 250.0, 2 * BLOCK + 5)),
+        ("decelerating", -0.1, -0.2, np.linspace(100.0, 250.0, 2 * BLOCK + 5)),
+        ("constant", -0.2, 0.0, np.linspace(100.0, 250.0, 2 * BLOCK + 5)),
+        ("exp", 0.0, 0.3, np.linspace(100.0, 250.0, 2 * BLOCK + 5)),
+    ], ids=["oscillatory-window", "sine-window", "oscillatory-long", "decelerating-long",
+            "constant-long", "exp-long"])
+    def test_equals_a_separate_evaluation(self, profile, beta, delta, ts, medium):
+        if profile == "sine":
+            profile = MotionProfile.custom(math.sin, math.cos, lambda u: -math.sin(u),
+                                           horizon=120.0)
+        elif profile == "exp":
+            profile = _exp_twin()
+        m = make_motion(profile, beta=beta, delta=delta, eps=0.1)
+        group = validate(m, medium)
+        x = 5.0
+        te, _, iters = oracle_mod._solve_checked(m, medium, x, ts)
+        fm = np.concatenate([fm for _, _, fm in
+                             oracle_mod._exact_blocks(m, medium, group, x, ts, True)])
+        want = _fm(group.beta, group.delta, m.profile.eval(m.Omega * te, order=(1,))[0])
+        assert np.array_equal(fm, want)
+        if ts.size == 1001 and m.profile.kind != "constant":
+            # The window where points finish on different passes: the
+            # solve's compacted working set carries the slopes too.
+            assert set(np.unique(iters)) == {1, 2}
+
+    def test_single_time(self, medium):
+        m = make_motion(_exp_twin(), beta=0.0, delta=0.3, eps=0.1)
+        te = retarded_time(m, medium, 5.0, 1005.0).t_e
+        ap, = m.profile.eval(m.Omega * te, order=(1,))
+        want = medium.omega / (1.0 - 0.0 - 0.3 * ap)
+        assert exact_instantaneous_frequency(m, medium, 5.0, 1005.0) == want
 
 
 class TestExactField:

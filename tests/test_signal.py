@@ -168,6 +168,30 @@ class TestInstantaneousFrequency:
         with pytest.raises(AliasingSuspected):
             instantaneous_frequency(series)
 
+    def test_peaks_match_thinning_loop_on_tied_spectra(self, monkeypatch, rng):
+        # The spectrum once thinned its peaks to 2 bins apart; local maxima
+        # are never adjacent, so the thinning never dropped one.  Small
+        # integer magnitudes, planted as the DFT, tie often.
+        def thinned(mags, centers):
+            inner = mags[1:-1]
+            candidates = 1 + np.flatnonzero((inner > 0.01 * float(np.max(mags)))
+                                            & (inner > mags[:-2]) & (inner >= mags[2:]))
+            candidates = candidates[np.argsort(-mags[candidates], kind="stable")]
+            kept = []
+            for k in candidates:
+                if all(abs(k - j) >= 2 for j in kept):
+                    kept.append(k)
+            return [(float(centers[k]), float(mags[k])) for k in kept]
+
+        planted = []
+        monkeypatch.setattr(np.fft, "fft", lambda values: planted[-1])
+        for _ in range(3000):
+            n = int(rng.integers(8, 40))
+            planted.append(rng.integers(0, int(rng.integers(1, 6)), size=n).astype(float))
+            series = ReceiverSeries(x=0.0, t0=0.0, dt=0.5, values=np.ones(n, complex))
+            centers = 2.0 * np.pi * np.fft.fftfreq(n, d=0.5)
+            assert spectrum(series).peaks == thinned(planted[-1], centers)
+
     def test_too_short_rejected(self):
         series = ReceiverSeries(x=0.0, t0=0.0, dt=1.0,
                                 values=np.ones(2, complex))
