@@ -20,8 +20,9 @@ from .motion import (
     MediumParams,
     MotionProfile,
     _match,
+    _scalars,
     before_arrival,
-    snap_to_boundary,
+    boundary_rule,
     time_window,
     validate,
 )
@@ -119,7 +120,7 @@ def _lab_field(motion: BoundaryMotion, medium: MediumParams, group, x, t,
     """
     beta, delta, eps = group
     omega, Omega = medium.omega, motion.Omega
-    t = np.asarray(t, dtype=float)
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     slow_t = Omega * t
     alpha, ap, *app = (np.asarray(v) for v in motion.profile.eval(
         slow_t, order=(0, 1, 2) if with_rate else (0, 1)))
@@ -182,12 +183,12 @@ def fm_factor(motion: BoundaryMotion, medium: MediumParams, t) -> float:
 def am_factor(motion: BoundaryMotion, medium: MediumParams, x, t) -> float:
     """Real envelope of the leading-order field at ``(x, t)``.
 
-    Requires ``x >= X_s(t)`` under the boundary rule of
-    :func:`~dopplerlab.motion.snap_to_boundary`; there is no causal-cone
-    check.  Equals 1 exactly on the boundary.
+    Requires ``x >= X_s(t)`` under :func:`~dopplerlab.motion.boundary_rule`,
+    and is evaluated at ``x`` itself; there is no causal-cone check.
+    Equals 1 exactly on the boundary.
     """
     beta, delta, eps = validate(motion, medium)
-    x = snap_to_boundary(motion, medium, x, t)
+    boundary_rule(motion, medium, x, t)
     return am_dimensionless(motion.profile, beta, delta, eps,
                             medium.omega * np.asarray(x, dtype=float) / medium.c,
                             medium.omega * np.asarray(t, dtype=float))
@@ -199,10 +200,10 @@ def lab_phase(motion: BoundaryMotion, medium: MediumParams, x, t,
 
     ``FM(t) * omega * [t - x/c - shift(t)]`` with the slow shift
     ``delta*alpha'(Omega t)*t - (delta/Omega)*alpha(Omega t)`` included or
-    zeroed according to the flag.  The rules of :func:`am_factor` apply.
+    zeroed according to the flag, at ``x`` itself under the rules of :func:`am_factor`.
     """
     group = validate(motion, medium)
-    x = snap_to_boundary(motion, medium, x, t)
+    boundary_rule(motion, medium, x, t)
     return _match(_lab_field(motion, medium, group, x, t, include_phase_shift)[0])
 
 
@@ -214,14 +215,14 @@ def lab_phase_rate(motion: BoundaryMotion, medium: MediumParams, x, t,
     boundary ``x = X_s(t)``.  The rules of :func:`am_factor` apply.
     """
     group = validate(motion, medium)
-    x = snap_to_boundary(motion, medium, x, t)
+    boundary_rule(motion, medium, x, t)
     return _match(_lab_field(motion, medium, group, x, t, include_phase_shift,
                              with_rate=True)[3])
 
 
 def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,
                         include_phase_shift: bool = False) -> FieldSample:
-    """Leading-order complex field at one event ``(x, t)``.
+    """Leading-order complex field at one event ``(x, t)``, both scalars.
 
     Returns 0 outside the causal cone of
     :func:`~dopplerlab.motion.before_arrival` (the wavefront itself is
@@ -231,10 +232,11 @@ def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,
     ``include_phase_shift=True`` for the full solution.
     """
     group = validate(motion, medium)
+    _scalars(x=x, t=t)
     x, t = float(x), float(t)
     if before_arrival(medium, x, t):
         return FieldSample(x=x, t=t, value=0.0j, factors=None)
-    x = snap_to_boundary(motion, medium, x, t)
+    boundary_rule(motion, medium, x, t)
     phase, am, fm, _ = _lab_field(motion, medium, group, x, t, include_phase_shift)
     alpha, ap = motion.profile.eval(motion.Omega * t, order=(0, 1))
     shift = _phase_shift(group.delta, group.eps, medium.omega * t, alpha, ap, fm)

@@ -6,7 +6,7 @@ dimensionless profile ``alpha`` is normalized so that ``alpha(0) = 0`` and
 oscillatory) and arbitrary user profiles are accepted as explicit
 ``(alpha, alpha', alpha'')`` evaluator triples.  :func:`time_window` is the
 one guard on the times of every sampled window; :func:`receiver_window`
-adds the causal cone and the boundary rule for a receiver.
+adds the causal cone and :func:`boundary_rule` for a receiver.
 """
 
 from __future__ import annotations
@@ -323,70 +323,66 @@ def sample_grid(n, grid) -> np.ndarray:
                                  f"({exc})") from None
 
 
-def snap_to_boundary(motion: BoundaryMotion, medium: MediumParams, x, t):
-    """The boundary rule: ``max(x, X_s(t))`` for a receiver ahead of the boundary.
-
-    The times first go through :func:`time_window`.  A receiver at most
-    ``BOUNDARY_CLAMP*c/omega`` behind ``X_s(t)`` is snapped onto it; one
-    further behind raises :class:`ObserverInsideBoundary`, naming the worst
-    point and its gap.  ``x`` and ``t`` broadcast; the result is a float
-    when both are scalars.
-    """
-    time_window(motion, medium, t)
-    xa = _finite_receiver(x)
-    xs = np.asarray(boundary_position(motion, t))
-    lag = xs - xa
-    worst = int(np.argmax(lag))
-    _check_lag(medium, lag.flat[worst], np.broadcast_to(xa, lag.shape).flat[worst],
-               np.broadcast_to(t, lag.shape).flat[worst])
-    return _match(np.maximum(xa, xs))
-
-
-def _finite_receiver(x) -> np.ndarray:
-    """``x`` as a float array; :class:`ArgumentOutOfRange` unless it is finite."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ArgumentOutOfRange(f"receiver position must be finite, got {x}")
-    return xa
-
-
-def _check_lag(medium: MediumParams, lag, x, t) -> None:
-    """The boundary rule at the worst point: ``x`` lies ``lag`` behind ``X_s(t)``."""
-    if lag > BOUNDARY_CLAMP * medium.c / medium.omega:
-        raise ObserverInsideBoundary(
-            f"x={float(x)} lies {lag:.3g} behind the boundary at t={float(t)}")
-
-
 def before_arrival(medium: MediumParams, x: float, t: float) -> bool:
     """The causal cone, ``t < 0`` or ``t < x/c`` with no slack; a NaN ``x`` passes."""
     return t < 0.0 or t < x / medium.c
 
 
-def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) -> None:
-    """The receiver-window guard: ``x`` hears the outgoing wave at every ``ts``.
+def _scalars(**coords) -> None:
+    """:class:`ArgumentOutOfRange` naming the first of ``coords`` that is not a scalar."""
+    for name, value in coords.items():
+        if np.ndim(value) != 0:
+            raise ArgumentOutOfRange(f"{name} must be one point, got shape {np.shape(value)}")
 
-    In order: the time rules of :func:`time_window`, the causal cone of
-    :func:`before_arrival` (:class:`NotYetReached`), then the boundary rule
-    of :func:`snap_to_boundary`.  The boundary rule evaluates ``X_s`` one
-    block at a time (:func:`_blocks`) and raises only after the whole grid,
-    naming the point ``np.argmax`` of the whole lag would.  Callers keep
-    ``x`` itself: the snap moves it by at most ``BOUNDARY_CLAMP*c/omega``.
+
+def receiver_window(motion: BoundaryMotion, medium: MediumParams, x: float, ts) -> None:
+    """The receiver-window guard: a receiver at one point ``x`` hears the wave at every ``ts``.
+
+    In order: :class:`ArgumentOutOfRange` for a non-scalar ``x``, the time
+    rules of :func:`time_window`, the causal cone of :func:`before_arrival`
+    (:class:`NotYetReached`), then the boundary rule of :func:`boundary_rule`.
     """
+    _scalars(x=x)
     time_window(motion, medium, ts)
     first = float(np.min(ts))
     if before_arrival(medium, x, first):
         raise NotYetReached(
             f"(x={x}, t={first}) is outside the causal cone: no signal has "
             f"arrived before x/c={x / medium.c}")
-    xa = _finite_receiver(x)
-    flat = np.ravel(np.asarray(ts, dtype=float))
+    _boundary_pass(motion, medium, x, ts)
+
+
+def boundary_rule(motion: BoundaryMotion, medium: MediumParams, x, t) -> None:
+    """The time rules of :func:`time_window`, then the boundary rule ``x >= X_s(t)``.
+
+    ``x`` must be finite (:class:`ArgumentOutOfRange`).  A receiver at most
+    ``BOUNDARY_CLAMP*c/omega`` behind ``X_s(t)`` counts as on the boundary
+    and keeps its own position; one further behind raises
+    :class:`ObserverInsideBoundary`.  ``x`` and ``t`` broadcast.
+    """
+    time_window(motion, medium, t)
+    _boundary_pass(motion, medium, x, t)
+
+
+def _boundary_pass(motion: BoundaryMotion, medium: MediumParams, x, t) -> None:
+    """The boundary rule, evaluating ``X_s`` one :func:`_blocks` slice at a time.
+
+    It raises only after the whole grid, naming the point ``np.argmax`` of
+    the whole lag would.  A scalar ``x`` stays a zero-stride view.
+    """
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ArgumentOutOfRange(f"receiver position must be finite, got {x}")
+    xs, ts = (a.reshape(-1) for a in np.broadcast_arrays(xa, np.asarray(t, dtype=float)))
     peaks = []
-    for block in _blocks(flat.size):
-        lag = boundary_position(motion, flat[block]) - xa
+    for block in _blocks(ts.size):
+        lag = boundary_position(motion, ts[block]) - xs[block]
         worst = int(np.argmax(lag))
         peaks.append((lag[worst], block.start + worst))
     lag, worst = _first_peak(peaks)
-    _check_lag(medium, lag, xa, flat[worst])
+    if lag > BOUNDARY_CLAMP * medium.c / medium.omega:
+        raise ObserverInsideBoundary(
+            f"x={float(xs[worst])} lies {lag:.3g} behind the boundary at t={float(ts[worst])}")
 
 
 def _blocks(size: int):

@@ -26,8 +26,8 @@ evaluated ``alpha'`` at its emission time, so the exact FM reuses it.
 A long grid is solved one block of ``motion.BLOCK`` points at a time
 (:func:`_solved_blocks`), every block starting from the one table built for
 the whole grid, so each emission time is the one a whole-grid solve gives.
-The exact field, and :func:`compare_fields`' error norms, are built block by
-block on top, so no intermediate array is larger than a block.
+Both sources' fields are built block by block on top (:func:`_field_blocks`),
+so no intermediate array is larger than a block.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 
 from .asymptotics import _fm, _lab_field
 from .errors import ArgumentOutOfRange, NoConvergence
-from .motion import (BoundaryMotion, MediumParams, _blocks, _first_peak, before_arrival,
-                     receiver_window, sample_grid, validate)
+from .motion import (BoundaryMotion, MediumParams, _blocks, _first_peak, _scalars,
+                     before_arrival, receiver_window, sample_grid, validate)
 
 #: Default solver tolerance scale: |residual| <= 1e-12 / omega keeps the
 #: oracle phase accurate to 1e-12 radians.
@@ -222,19 +222,24 @@ def _solve_checked(motion: BoundaryMotion, medium: MediumParams, x: float, ts):
     return te.reshape(ts.shape), resid.reshape(ts.shape), iters.reshape(ts.shape)
 
 
-def _exact_blocks(motion: BoundaryMotion, medium: MediumParams, group, x: float, flat,
-                  with_fm: bool):
-    """``(block, phase, fm)`` of the exact field ``exp(i*phase)`` at ``x``, block by block.
+def _field_blocks(source: str, motion: BoundaryMotion, medium: MediumParams, group,
+                  x: float, flat, include_phase_shift: bool = False, with_rate: bool = False):
+    """``(block, phase, am, fm, rate)`` of either source's field ``am*exp(i*phase)`` at ``x``.
 
-    ``flat`` is a guarded 1-D grid, solved by :func:`_solved_blocks`.
-    ``phase = omega*t_e``; ``fm`` is the FM factor at ``t_e`` (the exact
-    received frequency over ``omega``), or None unless ``with_fm`` is set.
-    ``fm`` is built from the ``alpha'(Omega*t_e)`` of the solve's last
-    Newton pass, so it costs no profile evaluation of its own.
+    The one place both sources are built, block by block over the guarded
+    1-D grid ``flat``.  The oracle gives ``(omega*t_e, 1, FM at t_e,
+    omega*FM)``, FM from the last ``alpha'`` of :func:`_solved_blocks`; the
+    asymptotic source gives :func:`_lab_field`'s, at the reception time.
+    ``rate`` is None unless ``with_rate`` is set.
     """
-    for block, te, _, _, slope in _solved_blocks(motion, medium, x, flat):
-        fm = _fm(group.beta, group.delta, slope) if with_fm else None
-        yield block, medium.omega * te, fm
+    if source == "oracle":
+        for block, te, _, _, slope in _solved_blocks(motion, medium, x, flat):
+            fm = _fm(group.beta, group.delta, slope)
+            yield block, medium.omega * te, 1.0, fm, medium.omega * fm if with_rate else None
+    else:
+        for block in _blocks(flat.size):
+            yield (block, *_lab_field(motion, medium, group, x, flat[block],
+                                      include_phase_shift, with_rate))
 
 
 def retarded_time(motion: BoundaryMotion, medium: MediumParams, x: float,
@@ -242,9 +247,10 @@ def retarded_time(motion: BoundaryMotion, medium: MediumParams, x: float,
     """Solve ``t_e - X_s(t_e)/c = t - x/c`` for the emission time.
 
     Safeguarded Newton iteration (see the module docstring) to
-    ``|residual| <= 1e-12 / omega``.
+    ``|residual| <= 1e-12 / omega`` at one point ``(x, t)``.
     """
     validate(motion, medium)
+    _scalars(x=x, t=t)
     receiver_window(motion, medium, x, [t])
     te, resid, iters = _solve_checked(motion, medium, x, [t])
     return RetardedTimeResult(t_e=float(te[0]), residual=float(resid[0]),
@@ -255,14 +261,14 @@ def exact_field(motion: BoundaryMotion, medium: MediumParams, x: float,
                 t: float) -> complex:
     """``exp(i*omega*t_e)`` inside the causal cone, 0 outside it.
 
-    The exact outgoing field has unit modulus wherever it is nonzero.
+    The exact outgoing field at one point has unit modulus where it is nonzero.
     """
     group = validate(motion, medium)
+    _scalars(x=x, t=t)
     if before_arrival(medium, x, t):
         return 0.0j
     receiver_window(motion, medium, x, [t])
-    (_, phase, _), = _exact_blocks(motion, medium, group, x, np.array([t], dtype=float),
-                                   False)
+    (_, phase, _, _, _), = _field_blocks("oracle", motion, medium, group, x, np.array([t], float))
     return complex(np.exp(1j * phase)[0])
 
 
@@ -272,11 +278,12 @@ def exact_instantaneous_frequency(motion: BoundaryMotion, medium: MediumParams,
 
     The classical shift formula evaluated at the emission time; on the
     boundary itself (``x = X_s(t)``, so ``t_e = t``) this is exactly
-    ``omega * fm_factor(t)``.
+    ``omega * fm_factor(t)``.  ``(x, t)`` is one point.
     """
     group = validate(motion, medium)
+    _scalars(x=x, t=t)
     receiver_window(motion, medium, x, [t])
-    (_, _, fm), = _exact_blocks(motion, medium, group, x, np.array([t], dtype=float), True)
+    (_, _, _, fm, _), = _field_blocks("oracle", motion, medium, group, x, np.array([t], float))
     return medium.omega * float(fm[0])
 
 
@@ -304,10 +311,10 @@ def compare_fields(motion: BoundaryMotion, medium: MediumParams, x: float,
 
     # (phase, freq, modulus); np.maximum keeps a NaN, as np.max over the grid does.
     maxima = np.full(3, -np.inf)
-    for block, phase_exact, fm_exact in _exact_blocks(motion, medium, group, x, ts, True):
-        freq_exact = medium.omega * fm_exact
-        phase, am, _, freq_asym = _lab_field(motion, medium, group, x, ts[block],
-                                             include_phase_shift, with_rate=True)
+    exact = _field_blocks("oracle", motion, medium, group, x, ts, with_rate=True)
+    lab = _field_blocks("asymptotic", motion, medium, group, x, ts, include_phase_shift,
+                        with_rate=True)
+    for (_, phase_exact, _, _, freq_exact), (_, phase, am, _, freq_asym) in zip(exact, lab):
         np.maximum(maxima, [np.max(np.abs(phase - phase_exact)),
                             np.max(np.abs(freq_asym - freq_exact) / freq_exact),
                             np.max(np.abs(np.abs(am) - 1.0))], out=maxima)

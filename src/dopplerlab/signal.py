@@ -15,10 +15,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import AliasingSuspected, ArgumentOutOfRange
-from .motion import (BoundaryMotion, MediumParams, _blocks, receiver_window, sample_grid,
-                     validate)
-# oracle holds both sources' field builders (the asymptotic one it compares against).
-from .oracle import _exact_blocks, _lab_field
+from .motion import BoundaryMotion, MediumParams, receiver_window, sample_grid, validate
+from .oracle import _field_blocks
 
 SOURCES = ("asymptotic", "oracle")
 WINDOWS = ("rectangular", "hann")
@@ -44,7 +42,8 @@ class ReceiverSeries:
     def __post_init__(self):
         if not (self.dt > 0.0):
             raise ArgumentOutOfRange(f"dt must be positive, got {self.dt}")
-        values = np.asarray(self.values, dtype=complex)
+        # A view: freezing it leaves the caller's own array writable.
+        values = np.asarray(self.values, dtype=complex).view()
         if values.ndim != 1 or values.size < 2:
             raise ArgumentOutOfRange(
                 f"a series needs at least 2 samples, got shape {values.shape}"
@@ -77,15 +76,14 @@ def sample_on_grid(source: str, motion: BoundaryMotion, medium: MediumParams, x:
     The one path that samples a receiver.  The whole grid must pass
     :func:`~dopplerlab.motion.receiver_window`: inside the causal cone and
     ahead of the boundary, with no acausal zero-padding.  Returns
-    ``(values, fm)`` in the shape of ``ts``.  The oracle gives
-    ``exp(i*omega*t_e)`` with FM at the emission time (the exact received
-    frequency over ``omega``), and computes it only when ``with_fm`` is set
-    (``fm`` is None otherwise).  The asymptotic source gives
-    ``AM * exp(i*phase)`` with FM at the reception time;
-    ``include_phase_shift`` only affects this source.  Either source fills
-    the two outputs one block of the grid at a time
-    (:func:`~dopplerlab.motion._blocks`), so memory beyond the grid and
-    the outputs does not grow with its length.
+    ``(values, fm)`` in the shape of ``ts``, ``fm`` only when ``with_fm``
+    is set (None otherwise).  The oracle gives ``exp(i*omega*t_e)`` with FM
+    at the emission time (the exact received frequency over ``omega``); the
+    asymptotic source gives ``AM * exp(i*phase)`` with FM at the reception
+    time, and ``include_phase_shift`` only affects it.  Both fill the
+    outputs from :func:`~dopplerlab.oracle._field_blocks`, one block of the
+    grid at a time, so memory beyond the grid and the outputs does not grow
+    with its length.
     """
     if source not in SOURCES:
         raise ArgumentOutOfRange(f"source must be one of {SOURCES}, got {source!r}")
@@ -94,17 +92,12 @@ def sample_on_grid(source: str, motion: BoundaryMotion, medium: MediumParams, x:
     receiver_window(motion, medium, x, ts)
     flat = ts.ravel()
     values = np.empty(flat.shape, dtype=complex)
-    fm = np.empty(flat.shape) if with_fm or source == "asymptotic" else None
-    if source == "oracle":
-        for block, phase, fm_block in _exact_blocks(motion, medium, group, x, flat, with_fm):
-            values[block] = np.exp(1j * phase)
-            if with_fm:
-                fm[block] = fm_block
-    else:
-        for block in _blocks(flat.size):
-            phase, am, fm[block], _ = _lab_field(motion, medium, group, x, flat[block],
-                                                 include_phase_shift)
-            values[block] = am * np.exp(1j * phase)
+    fm = np.empty(flat.shape) if with_fm else None
+    for block, phase, am, fm_block, _ in _field_blocks(source, motion, medium, group, x, flat,
+                                                       include_phase_shift):
+        np.multiply(am, np.exp(1j * phase), out=values[block])
+        if with_fm:
+            fm[block] = fm_block
     return values.reshape(ts.shape), None if fm is None else fm.reshape(ts.shape)
 
 

@@ -40,6 +40,19 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _text(x, y, size: int, text: str, anchor: Optional[str] = "middle", extra: str = "") -> str:
+    """A ``<text>`` label at ``(x, y)``, both already formatted; ``extra`` follows the font size."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor_attr} font-family="Helvetica,Arial,sans-serif" '
+            f'font-size="{size}"{extra}>{_escape(text)}</text>')
+
+
+def _dash_attr(style: str) -> str:
+    """The ``stroke-dasharray`` attribute of a series style, empty for a solid line."""
+    dash = _DASHES[style]
+    return f' stroke-dasharray="{dash}"' if dash else ""
+
+
 #: Values the array path of :func:`_points` formats: ``|v| < FAST_MAX``
 #: keeps ``100·|v|`` below 1e9, where its rounding error is under 6e-8.
 FAST_MAX = 1e7
@@ -146,8 +159,7 @@ def line_plot(path: str, title: str, xlabel: str, ylabel: str,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="Helvetica,Arial,sans-serif" font-size="16">{_escape(title)}</text>',
+        _text(f"{WIDTH / 2:.1f}", 24, 16, title),
     ]
 
     # Axes box and ticks.
@@ -158,32 +170,22 @@ def line_plot(path: str, title: str, xlabel: str, ylabel: str,
         px = sx(tx)
         parts.append(f'<line x1="{px:.2f}" y1="{MARGIN_T + plot_h}" '
                      f'x2="{px:.2f}" y2="{MARGIN_T + plot_h + 5}" stroke="black"/>')
-        parts.append(f'<text x="{px:.2f}" y="{MARGIN_T + plot_h + 20}" '
-                     f'text-anchor="middle" font-family="Helvetica,Arial,sans-serif" '
-                     f'font-size="12">{_fmt(tx)}</text>')
+        parts.append(_text(f"{px:.2f}", MARGIN_T + plot_h + 20, 12, _fmt(tx)))
     for ty in _ticks(y_lo, y_hi):
         py = sy(ty)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" '
                      f'x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" '
-                     f'text-anchor="end" font-family="Helvetica,Arial,sans-serif" '
-                     f'font-size="12">{_fmt(ty)}</text>')
-    parts.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-                 f'text-anchor="middle" font-family="Helvetica,Arial,sans-serif" '
-                 f'font-size="14">{_escape(xlabel)}</text>')
-    parts.append(f'<text x="20" y="{MARGIN_T + plot_h / 2:.1f}" '
-                 f'text-anchor="middle" font-family="Helvetica,Arial,sans-serif" '
-                 f'font-size="14" transform="rotate(-90 20 {MARGIN_T + plot_h / 2:.1f})">'
-                 f'{_escape(ylabel)}</text>')
+        parts.append(_text(MARGIN_L - 8, f"{py + 4:.2f}", 12, _fmt(ty), anchor="end"))
+    parts.append(_text(f"{MARGIN_L + plot_w / 2:.1f}", HEIGHT - 12, 14, xlabel))
+    mid = f"{MARGIN_T + plot_h / 2:.1f}"
+    parts.append(_text(20, mid, 14, ylabel, extra=f' transform="rotate(-90 20 {mid})"'))
 
     # Curves: every point's "x,y" formatted at once by _points.
     px = sx(x)
     for (_, _, style), y in zip(series, ys):
-        dash = _DASHES[style]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         pts = _points(px, sy(y))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="black" '
-                     f'stroke-width="1.2"{dash_attr}/>')
+                     f'stroke-width="1.2"{_dash_attr(style)}/>')
 
     # Legend (labeled series only), top-right inside the plot box.
     labeled = [(lab, sty) for lab, _, sty in series if lab]
@@ -195,13 +197,9 @@ def line_plot(path: str, title: str, xlabel: str, ylabel: str,
                      f'stroke="black" stroke-width="0.5"/>')
         for i, (lab, sty) in enumerate(labeled):
             yy = ly + 10 + 18 * i
-            dash = _DASHES[sty]
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
             parts.append(f'<line x1="{lx}" y1="{yy - 4}" x2="{lx + 30}" '
-                         f'y2="{yy - 4}" stroke="black" stroke-width="1.2"{dash_attr}/>')
-            parts.append(f'<text x="{lx + 36}" y="{yy}" '
-                         f'font-family="Helvetica,Arial,sans-serif" '
-                         f'font-size="12">{_escape(lab)}</text>')
+                         f'y2="{yy - 4}" stroke="black" stroke-width="1.2"{_dash_attr(sty)}/>')
+            parts.append(_text(lx + 36, yy, 12, lab, anchor=None))
 
     parts.append("</svg>")
     write_text(path, ["\n".join(parts) + "\n"])

@@ -14,6 +14,7 @@ import pytest
 
 import dopplerlab.motion as motion_mod
 import dopplerlab.oracle as oracle_mod
+from dopplerlab.asymptotics import am_factor
 from dopplerlab.errors import NoConvergence, ObserverInsideBoundary
 from dopplerlab.motion import MotionProfile, receiver_window
 from dopplerlab.oracle import compare_fields
@@ -91,6 +92,22 @@ def test_worst_lag_tied_across_blocks(medium, monkeypatch):
                               lambda: _inside_boundary_message(m, medium, 4.0, ts))
     assert small == whole
     assert f"t={ts[first]}" in small
+
+
+def test_am_factor_names_the_whole_grid_worst_lag(medium, monkeypatch):
+    # X_s = t/2 overtakes x = 4 at t = 8, past the first block of 7 points;
+    # the whole-grid rule names the last point, 1 behind at t = 10.
+    m = make_motion("constant", beta=0.5, delta=0.0, eps=0.1)
+    ts = np.linspace(6.0, 10.0, 40)
+    assert np.argmax(ts > 8.0) >= 7
+
+    def message():
+        with pytest.raises(ObserverInsideBoundary) as excinfo:
+            am_factor(m, medium, 4.0, ts)
+        return str(excinfo.value)
+
+    small, whole = _in_blocks(monkeypatch, ts.size, message)
+    assert small == whole == f"x=4.0 lies 1 behind the boundary at t={ts[-1]}"
 
 
 def test_stall_names_the_same_worst_point(medium, monkeypatch):

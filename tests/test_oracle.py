@@ -363,8 +363,8 @@ class TestFmFromTheSolve:
         group = validate(m, medium)
         x = 5.0
         te, _, iters = oracle_mod._solve_checked(m, medium, x, ts)
-        fm = np.concatenate([fm for _, _, fm in
-                             oracle_mod._exact_blocks(m, medium, group, x, ts, True)])
+        fm = np.concatenate([fm for _, _, _, fm, _ in
+                             oracle_mod._field_blocks("oracle", m, medium, group, x, ts)])
         want = _fm(group.beta, group.delta, m.profile.eval(m.Omega * te, order=(1,))[0])
         assert np.array_equal(fm, want)
         if ts.size == 1001 and m.profile.kind != "constant":

@@ -10,11 +10,12 @@ past its validated horizon in ``Omega*t``, with ``ARG_OUT_OF_RANGE``
 as outside the cone).  Entry points that check the causal cone reject
 windows before arrival with ``NOT_YET_REACHED``; ``exact_field`` and
 ``leading_order_field`` return 0 there instead, and the AM factor, the lab
-phase and its rate have no cone at all.  Those entry points snap a
-receiver within ``BOUNDARY_CLAMP*c/omega`` behind the boundary onto it, and
-reject one further behind with ``INSIDE_BOUNDARY``.  The FM factor and the
-moving-frame field (where ``x`` is the offset ahead of the boundary) have
-only the time rules.
+phase and its rate have no cone at all.  Those entry points accept a
+receiver within ``BOUNDARY_CLAMP*c/omega`` behind the boundary as on it,
+evaluating at the receiver's own position, and reject one further behind
+with ``INSIDE_BOUNDARY``.  The FM factor and the moving-frame field (where
+``x`` is the offset ahead of the boundary) have only the time rules.  An
+array where one receiver or one point belongs is ``ARG_OUT_OF_RANGE``.
 """
 
 import math
@@ -37,8 +38,9 @@ from dopplerlab.motion import (
     BoundaryMotion,
     MediumParams,
     MotionProfile,
+    boundary_position,
+    boundary_rule,
     receiver_window,
-    snap_to_boundary,
     time_window,
 )
 from dopplerlab.oracle import (
@@ -224,7 +226,7 @@ def test_nan_time_rejected(entry, tmp_path, capsys):
 #: Every API entry point that takes a time grid, as a call on the grid ``ts``.
 GRID_ENTRY_POINTS = {
     "time_window": lambda ts: time_window(MOTION, MEDIUM, ts),
-    "snap_to_boundary": lambda ts: snap_to_boundary(MOTION, MEDIUM, 6.0, ts),
+    "boundary_rule": lambda ts: boundary_rule(MOTION, MEDIUM, 6.0, ts),
     "receiver_window": lambda ts: receiver_window(MOTION, MEDIUM, 6.0, ts),
     "fm_factor": lambda ts: fm_factor(MOTION, MEDIUM, ts),
     "am_factor": lambda ts: am_factor(MOTION, MEDIUM, 6.0, ts),
@@ -254,6 +256,42 @@ def test_nan_receiver_rejected(entry, tmp_path, capsys):
     run, _ = ENTRY_POINTS[entry]
     window = (math.nan, 7.0, 10.0, 10.0)
     assert run(MOTION, window, tmp_path / "out", capsys) == "ARG_OUT_OF_RANGE"
+
+
+#: Two receivers, and two times, ahead of the boundary and inside the cone.
+XS, TS = np.array([6.0, 7.0]), np.array([9.0, 10.0])
+
+#: Calls that take one receiver, or one point, given an array in its place.
+ARRAY_POINT_CALLS = {
+    "retarded_time-t": lambda: retarded_time(MOTION, MEDIUM, 6.0, TS),
+    "exact_field-t": lambda: exact_field(MOTION, MEDIUM, 6.0, TS),
+    "exact_instantaneous_frequency-t": lambda: exact_instantaneous_frequency(
+        MOTION, MEDIUM, 6.0, TS),
+    "retarded_time-x": lambda: retarded_time(MOTION, MEDIUM, XS, 10.0),
+    "exact_field-x": lambda: exact_field(MOTION, MEDIUM, XS, 10.0),
+    "leading_order_field-x": lambda: leading_order_field(MOTION, MEDIUM, XS, 10.0),
+    "leading_order_field-t": lambda: leading_order_field(MOTION, MEDIUM, 6.0, TS),
+    "sample_receiver-x": lambda: sample_receiver("oracle", MOTION, MEDIUM, XS, 7.0, 0.5, 9),
+    "compare_fields-x": lambda: compare_fields(MOTION, MEDIUM, XS, (7.0, 11.0), 9),
+}
+
+
+@pytest.mark.parametrize("call", ARRAY_POINT_CALLS)
+def test_array_in_place_of_a_point_rejected(call):
+    with pytest.raises(ArgumentOutOfRange):
+        ARRAY_POINT_CALLS[call]()
+
+
+def test_receiver_within_the_clamp_keeps_its_position():
+    # X_s(10) = 5: 1e-13 behind it counts as on the boundary, and the phase
+    # is evaluated at the receiver itself.
+    assert (lab_phase(MOTION, MEDIUM, 5.0 - 1e-13, 10.0, True)
+            != lab_phase(MOTION, MEDIUM, 5.0, 10.0, True))
+    # AM is exactly 1 everywhere for uniform motion; an oscillating boundary
+    # makes it depend on x.
+    m = make_motion("oscillatory", beta=0.2, delta=0.3, eps=0.1)
+    on = boundary_position(m, 10.0)
+    assert am_factor(m, MEDIUM, on - 1e-13, 10.0) != am_factor(m, MEDIUM, on, 10.0)
 
 
 def test_wavefront_has_one_verdict():

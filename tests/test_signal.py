@@ -51,6 +51,13 @@ class TestReceiverSeries:
         with pytest.raises(ValueError):
             series.values[0] = 2.0
 
+    def test_callers_array_stays_writable(self):
+        values = np.ones(4, dtype=complex)
+        series = ReceiverSeries(x=0.0, t0=0.0, dt=1.0, values=values)
+        values[0] = 2.0
+        assert not series.values.flags.writeable
+        assert np.shares_memory(series.values, values)  # a frozen view, not a copy
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ArgumentOutOfRange):
             ReceiverSeries(x=0.0, t0=0.0, dt=0.0, values=np.ones(4, complex))
