@@ -108,22 +108,26 @@ def _phase_shift(delta, eps, omega_t, alpha, ap, fm):
 
 
 def _lab_field(motion: BoundaryMotion, medium: MediumParams, group, x, t,
-               include_phase_shift: bool, with_rate: bool = False):
+               include_phase_shift: bool, with_rate: bool = False, values=None):
     """``(phase, am, fm, rate)`` of the field ``am*exp(i*phase)`` at ``x`` over ``t``.
 
     ``phase = FM*omega*[t - x/c - shift(t)]``, the slow shift
     ``delta*alpha'*t - (delta/Omega)*alpha`` zeroed unless the flag is set;
     ``rate`` is its analytic time derivative, computed (with ``alpha''``)
-    only when ``with_rate`` is set and None otherwise.  No checks.  AM is
-    evaluated while only the one profile evaluation is alive, so grids peak
-    no higher than the solver does.
+    only when ``with_rate`` is set and None otherwise.  ``values`` is the
+    profile's ``(alpha, alpha')`` at ``Omega*t`` (``alpha''`` too with the
+    rate) when the caller has them, else they are evaluated here.  No
+    checks.  AM is evaluated while only the one profile evaluation is
+    alive, so grids peak no higher than the solver does.
     """
     beta, delta, eps = group
     omega, Omega = medium.omega, motion.Omega
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     slow_t = Omega * t
-    alpha, ap, *app = (np.asarray(v) for v in motion.profile.eval(
-        slow_t, order=(0, 1, 2) if with_rate else (0, 1)))
+    if values is None:
+        values = motion.profile.eval(slow_t, order=(0, 1, 2) if with_rate else (0, 1))
+    alpha, ap, *app = (np.asarray(v) for v in values)
+    del values
     am = _am(motion.profile, beta, delta, eps, omega * x / medium.c, slow_t, alpha)
     del slow_t
     fm = _fm(beta, delta, ap)
@@ -237,8 +241,9 @@ def leading_order_field(motion: BoundaryMotion, medium: MediumParams, x, t,
     if before_arrival(medium, x, t):
         return FieldSample(x=x, t=t, value=0.0j, factors=None)
     boundary_rule(motion, medium, x, t)
-    phase, am, fm, _ = _lab_field(motion, medium, group, x, t, include_phase_shift)
     alpha, ap = motion.profile.eval(motion.Omega * t, order=(0, 1))
+    phase, am, fm, _ = _lab_field(motion, medium, group, x, t, include_phase_shift,
+                                  values=(alpha, ap))
     shift = _phase_shift(group.delta, group.eps, medium.omega * t, alpha, ap, fm)
     factors = ModulationFactors(fm=float(fm), am=float(am), phase_shift=float(shift))
     return FieldSample(x=x, t=t, value=complex(am * np.exp(1j * phase)), factors=factors)

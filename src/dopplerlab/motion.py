@@ -358,29 +358,52 @@ def boundary_rule(motion: BoundaryMotion, medium: MediumParams, x, t) -> None:
     ``x`` must be finite (:class:`ArgumentOutOfRange`).  A receiver at most
     ``BOUNDARY_CLAMP*c/omega`` behind ``X_s(t)`` counts as on the boundary
     and keeps its own position; one further behind raises
-    :class:`ObserverInsideBoundary`.  ``x`` and ``t`` broadcast.
+    :class:`ObserverInsideBoundary`.  ``x`` and ``t`` broadcast to at least
+    one point, else :class:`ArgumentOutOfRange`.
     """
     time_window(motion, medium, t)
     _boundary_pass(motion, medium, x, t)
 
 
 def _boundary_pass(motion: BoundaryMotion, medium: MediumParams, x, t) -> None:
-    """The boundary rule, evaluating ``X_s`` one :func:`_blocks` slice at a time.
+    """The boundary rule over the broadcast of ``x`` and ``t``, which must not be empty.
 
-    It raises only after the whole grid, naming the point ``np.argmax`` of
-    the whole lag would.  A scalar ``x`` stays a zero-stride view.
+    A built-in profile first compares ``min(x)`` with the farthest the
+    boundary reaches over the window, ``max(v*t_min, v*t_max) + max(a*lo,
+    a*hi)`` for ``alpha``'s value range ``(lo, hi)`` (:data:`_VALUE_RANGES`).
+    Float products, sums and differences are monotone in each argument, so
+    no lag computed below can exceed ``reach - min(x)``: within the clamp,
+    the rule holds at every point and ``X_s`` is never evaluated.
+    Otherwise, and always for a custom profile, whose values are never
+    sampled, ``X_s`` is evaluated one :func:`_blocks` slice at a time.  That
+    pass raises only after the whole grid, naming the point ``np.argmax``
+    of the whole lag would.  A scalar ``x`` stays a zero-stride view.
     """
-    xa = np.asarray(x, dtype=float)
+    xa, ta = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ArgumentOutOfRange(f"receiver position must be finite, got {x}")
-    xs, ts = (a.reshape(-1) for a in np.broadcast_arrays(xa, np.asarray(t, dtype=float)))
+    try:
+        size = int(np.prod(np.broadcast_shapes(xa.shape, ta.shape)))
+    except ValueError:
+        raise ArgumentOutOfRange(f"receiver positions of shape {xa.shape} do not broadcast "
+                                 f"with times of shape {ta.shape}") from None
+    if size == 0:
+        raise ArgumentOutOfRange("no receiver position to check: x is empty")
+    clamp = BOUNDARY_CLAMP * medium.c / medium.omega
+    if motion.profile.kind != "custom":
+        v, a = motion.v, motion.a
+        lo, hi = _VALUE_RANGES[motion.profile.kind]
+        reach = max(v * float(ta.min()), v * float(ta.max())) + max(a * lo, a * hi)
+        if reach - float(xa.min()) <= clamp:
+            return
+    xs, ts = (arr.reshape(-1) for arr in np.broadcast_arrays(xa, ta))
     peaks = []
     for block in _blocks(ts.size):
         lag = boundary_position(motion, ts[block]) - xs[block]
         worst = int(np.argmax(lag))
         peaks.append((lag[worst], block.start + worst))
     lag, worst = _first_peak(peaks)
-    if lag > BOUNDARY_CLAMP * medium.c / medium.omega:
+    if lag > clamp:
         raise ObserverInsideBoundary(
             f"x={float(xs[worst])} lies {lag:.3g} behind the boundary at t={float(ts[worst])}")
 
@@ -401,6 +424,12 @@ def _first_peak(peaks):
 
 #: The exact range ``(min, max)`` of ``alpha'`` for each built-in profile.
 _SLOPE_RANGES = {"constant": (0.0, 0.0), "decelerating": (0.0, 1.0),
+                 "oscillatory": (-1.0, 1.0)}
+
+#: Bounds ``(lo, hi)`` on every value :meth:`MotionProfile.eval` computes for
+#: ``alpha`` of each built-in profile: ``1 - exp(-u)`` and ``sin(u)`` round
+#: to no value outside them.
+_VALUE_RANGES = {"constant": (0.0, 0.0), "decelerating": (0.0, 1.0),
                  "oscillatory": (-1.0, 1.0)}
 
 

@@ -9,19 +9,21 @@ which the multiple-scales approximation is measured.
 
 One vectorised solver, :func:`_solve_retarded`, serves every profile,
 built-in or custom.  Its inverse, ``t(S) = x/c + S - X_s(S)/c``, is
-explicit and strictly increasing, so the solver tabulates ``t(S)`` over the
-bracket ``[0, max t]``, known before any solve
-(``TABLE_ROWS_PER_SLOW_TIME`` rows per unit of slow time ``Omega*S``, never
-more rows than the grid has points, never fewer than two), and starts every
-point at ``np.interp`` of that table.  A one- or two-point grid gets the
-secant through ``S = 0`` and ``S = max t``, which for uniform motion is the
-root itself up to rounding.  From there it takes Newton steps, each from one
-:meth:`MotionProfile.eval` call giving ``g`` and ``g'`` together from
-``alpha`` and ``alpha'``.  The ``[0, t]`` bracket shrinks around the root as
-it goes, and a step that would leave it falls back to the bracket midpoint
-(``rtsafe`` in *Numerical Recipes*).  Only points not yet within tolerance
-keep iterating; from the table most need one step.  A point's last pass
-evaluated ``alpha'`` at its emission time, so the exact FM reuses it.
+explicit and strictly increasing with the exact slope ``dS/dt = FM``, so the
+solver tabulates ``(t, S, FM)`` over the bracket ``[0, max t]``, known before
+any solve (:func:`_start_table`: ``TABLE_ROWS_PER_SLOW_TIME`` rows per unit
+of slow time ``Omega*S``, at most a quarter of the grid's points and at most
+``motion.BLOCK``, never fewer than two), and starts every point at the
+cubic-Hermite inverse of that table: ``np.interp``'s linear interpolate plus
+one cubic bend per interval.  On the compare sweep's grids that start is
+already within tolerance, so no Newton step is taken.  Where it is not (a
+coarse table, a one- or two-point grid) the solver takes Newton steps, each
+from one :meth:`MotionProfile.eval` call giving ``g`` and ``g'`` together
+from ``alpha`` and ``alpha'``.  The ``[0, t]`` bracket shrinks around the
+root as it goes, and a step that would leave it falls back to the bracket
+midpoint (``rtsafe`` in *Numerical Recipes*).  Only points not yet within
+tolerance keep iterating.  A point's last pass evaluated ``alpha'`` at its
+emission time, so the exact FM reuses it.
 
 A long grid is solved one block of ``motion.BLOCK`` points at a time
 (:func:`_solved_blocks`), every block starting from the one table built for
@@ -39,7 +41,7 @@ import numpy as np
 
 from .asymptotics import _fm, _lab_field
 from .errors import ArgumentOutOfRange, NoConvergence
-from .motion import (BoundaryMotion, MediumParams, _blocks, _first_peak, _scalars,
+from .motion import (BLOCK, BoundaryMotion, MediumParams, _blocks, _first_peak, _scalars,
                      before_arrival, receiver_window, sample_grid, validate)
 
 #: Default solver tolerance scale: |residual| <= 1e-12 / omega keeps the
@@ -50,9 +52,13 @@ DEFAULT_TOL_SCALE = 1e-12
 MAX_ITERATIONS = 200
 
 #: Rows per unit of slow time (``Omega*t_e``) in the table of the inverse
-#: map that starts the solve; a table has at least two rows and never more
-#: rows than a larger grid has points.
-TABLE_ROWS_PER_SLOW_TIME = 512
+#: map that starts the solve.  The cubic-Hermite start's error falls as the
+#: fourth power of the row spacing: at 1024 rows the compare sweep's worst
+#: start residual is under a tenth of the tolerance, at 512 it is 0.97 of
+#: it.  A table has at least two rows, and at most a quarter as many rows as
+#: the grid has points and at most ``motion.BLOCK``, so building it never
+#: costs more than a small share of the solve.
+TABLE_ROWS_PER_SLOW_TIME = 1024
 
 
 @dataclass(frozen=True)
@@ -81,26 +87,37 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
     """Safeguarded Newton solve of the retarded-time equation on a grid.
 
     ``ts`` is a non-empty 1-D grid with ``t - x/c >= 0`` (caller-checked).
-    Every point starts from the inverse of the map ``t(S)`` tabulated over
-    the bracket ``[0, max t]`` (module docstring): ``table`` when given, as
-    :func:`_start_table` builds it for a whole grid of which ``ts`` is a
-    block, else a table built for ``ts`` alone.  Each step takes ``g`` and
-    ``g'`` from one :meth:`MotionProfile.eval` of ``(alpha, alpha')``,
-    inside the bracket ``[0, t]``; only points with ``|g| > tol`` keep
-    iterating, for at most ``MAX_ITERATIONS`` steps.  Returns ``(t_e,
-    residual, iterations)`` arrays, ``iterations`` counting the Newton steps
-    from each point's start; callers decide whether ``residual > tol`` is
-    fatal.  ``slope``, an optional float array shaped like ``ts``, receives
-    the ``alpha'`` of each point's last evaluation, which is
-    ``alpha'(Omega*t_e)`` to the bit: the FM factor at ``t_e`` needs no
-    evaluation of its own.
+    Every point starts from the cubic-Hermite inverse of the map ``t(S)``
+    tabulated over the bracket ``[0, max t]`` (module docstring): ``table``
+    when given, as :func:`_start_table` builds it for a whole grid of which
+    ``ts`` is a block, else a table built for ``ts`` alone.  Each pass takes
+    ``g`` and ``g'`` from one :meth:`MotionProfile.eval` of ``(alpha,
+    alpha')``; only points with ``|g| > tol`` take a Newton step, inside the
+    bracket ``[0, t]``, for at most ``MAX_ITERATIONS`` steps.  Returns
+    ``(t_e, residual, iterations)`` arrays, ``iterations`` counting the
+    Newton steps from each point's start (0 when the start is within
+    ``tol``); callers decide whether ``residual > tol`` is fatal.  ``slope``,
+    an optional float array shaped like ``ts``, receives the ``alpha'`` of
+    each point's last evaluation, which is ``alpha'(Omega*t_e)`` to the bit:
+    the FM factor at ``t_e`` needs no evaluation of its own.
     """
     c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
     t = np.asarray(ts, dtype=float)
     if table is None:
         table = _start_table(motion, medium, x, float(np.max(t)), t.size)
-    s = np.clip(np.interp(t, *table), 0.0, t)
+    reception, emission, rows_per_s, left, bend = table
     del table  # a table built here dies before the first step
+    # The linear interpolate plus its interval's cubic bend (_start_table).
+    # A NaN interpolate (a NaN receiver) casts to a garbage row, which take
+    # clips; the bend stays NaN and the point stalls.
+    s = np.interp(t, reception, emission)
+    pos = s * rows_per_s
+    with np.errstate(invalid="ignore"):
+        row = pos.astype(np.intp)
+    u = pos - row
+    s += u * (1.0 - u) * (left.take(row, mode="clip") - u * bend.take(row, mode="clip"))
+    del pos, row, u, reception, emission, left, bend
+    s = np.clip(s, 0.0, t, out=s)
 
     idx = None  # the points still iterating, once the working set is compacted
     rhs = t - x / c
@@ -162,16 +179,34 @@ def _solve_retarded(motion: BoundaryMotion, medium: MediumParams, x: float,
 
 def _start_table(motion: BoundaryMotion, medium: MediumParams, x: float, s_hi: float,
                  size: int):
-    """``(reception, emission)``: ``t(S)`` tabulated over the bracket ``[0, s_hi]``.
+    """The cubic-Hermite inverse of ``t(S)`` over the bracket ``[0, s_hi]``, as a table.
 
-    ``s_hi`` is the grid's latest time and ``size`` its point count, which
-    caps the rows; ``np.interp`` of the table starts each point.
+    ``s_hi`` is the grid's latest time and ``size`` its point count.  The
+    rows are ``TABLE_ROWS_PER_SLOW_TIME`` per unit of ``Omega*s_hi``, at
+    most ``size // 4`` and ``motion.BLOCK``, at least two.  One evaluation
+    of ``(alpha, alpha')`` at the rows gives ``t(S)`` and its exact inverse
+    slope ``dS/dt = FM``.  Returns ``(reception, emission, rows_per_s,
+    left, bend)``: ``np.interp`` of the first two gives the linear
+    interpolate, and ``rows_per_s`` turns it into a row position, whose
+    integer part is the row ``i`` and whose fraction ``u`` is where it lies
+    between rows ``i`` and ``i+1``.  The Hermite cubic through both rows
+    with slopes ``FM_i`` and ``FM_(i+1)`` is the linear interpolate plus
+    ``u*(1-u)*(left_i - u*bend_i)``, where, for the interval's widths ``h``
+    in ``t`` and ``dS`` in ``S``, ``left_i = h*FM_i - dS`` and ``bend_i =
+    left_i + h*FM_(i+1) - dS``.
     """
     c, v, a, Omega = medium.c, motion.v, motion.a, motion.Omega
-    rows = max(2, min(size, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * s_hi)))
+    rows = max(2, min(size // 4, BLOCK, 2 + int(TABLE_ROWS_PER_SLOW_TIME * Omega * s_hi)))
     emission = np.linspace(0.0, s_hi, rows)
-    alpha, = motion.profile.eval(Omega * emission, order=(0,))
-    return x / c + emission - (v * emission + a * alpha) / c, emission
+    alpha, ap = motion.profile.eval(Omega * emission, order=(0, 1))
+    reception = x / c + emission - (v * emission + a * alpha) / c
+    fm = 1.0 / (1.0 - (v + a * Omega * ap) / c)
+    h, ds = np.diff(reception), np.diff(emission)
+    left = h * fm[:-1] - ds
+    bend = left + (h * fm[1:] - ds)
+    # A grid at t = 0 alone tabulates one point twice; its start is S = 0.
+    rows_per_s = (rows - 1) / s_hi if s_hi > 0.0 else 0.0
+    return reception, emission, rows_per_s, left, bend
 
 
 def _solved_blocks(motion: BoundaryMotion, medium: MediumParams, x: float, flat):

@@ -1,11 +1,13 @@
 """Modulation factors, leading-order fields, and the dispersion relation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dopplerlab.asymptotics import (
+    _phase_shift,
     am_factor,
     classical_doppler,
     fm_factor,
@@ -16,7 +18,8 @@ from dopplerlab.asymptotics import (
     wavenumber,
 )
 from dopplerlab.errors import DegenerateRatio, ObserverInsideBoundary
-from dopplerlab.motion import MediumParams, boundary_position
+from dopplerlab.motion import (MediumParams, MotionProfile, boundary_position, boundary_rule,
+                               validate)
 
 from conftest import make_motion
 
@@ -144,6 +147,36 @@ class TestLeadingOrderField:
         for t in (0.0, 1.0, 2.5):
             got = leading_order_field(m, medium, 0.0, t).value
             assert abs(got - np.exp(1j * t)) < 1e-15
+
+    def test_profile_evaluated_once_at_the_slow_time(self, medium):
+        # Beyond the boundary rule's own X_s, each derivative is evaluated
+        # once at Omega*t: the phase shift reuses the field's alpha and
+        # alpha', and its bits are those of a separate evaluation.
+        calls = Counter()
+
+        def recorded(name, f):
+            def call(u):
+                calls[name, u] += 1
+                return f(u)
+            return call
+
+        profile = MotionProfile.custom(recorded("alpha", lambda u: 1.0 - math.cos(u)),
+                                       recorded("alpha'", math.sin),
+                                       recorded("alpha''", math.cos), horizon=60.0)
+        m = make_motion(profile, beta=0.1, delta=0.3, eps=0.1)
+        x, t = 10.0, 30.0
+        calls.clear()
+        boundary_rule(m, medium, x, t)
+        rule = Counter(calls)
+        calls.clear()
+        sample = leading_order_field(m, medium, x, t, include_phase_shift=True)
+        at_slow_time = {name: n for (name, u), n in (calls - rule).items() if u == m.Omega * t}
+        assert at_slow_time == {"alpha": 1, "alpha'": 1}
+        alpha, ap = m.profile.eval(m.Omega * t, order=(0, 1))
+        group = validate(m, medium)
+        assert sample.factors.phase_shift == _phase_shift(group.delta, group.eps,
+                                                          medium.omega * t, alpha, ap,
+                                                          sample.factors.fm)
 
     def test_factors_attached_inside_cone(self, medium):
         m = make_motion("decelerating", beta=0.0, delta=-0.2, eps=0.1)

@@ -39,6 +39,12 @@ class TestRetardedTime:
         res = retarded_time(m, medium, 1.0, 4.0)
         assert res.t_e == pytest.approx(3.0, abs=1e-12)
 
+    def test_origin_at_time_zero(self, medium):
+        # The grid's latest time is 0, so the start table's two rows coincide.
+        m = make_motion("oscillatory", beta=0.1, delta=0.2, eps=0.1)
+        res = retarded_time(m, medium, 0.0, 0.0)
+        assert (res.t_e, res.residual, res.iterations) == (0.0, 0.0, 0)
+
     def test_oscillatory_reference_point(self, medium):
         # Frozen from an independent bisection-only solve at 1e-14.
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
@@ -84,8 +90,8 @@ class TestRetardedTime:
 
     def test_exhausted_budget_raises(self, medium, monkeypatch):
         # With a one-step budget the solve takes one Newton step from the
-        # secant start 4.84; that leaves a residual of about 5e-5, far above
-        # tolerance.
+        # two-row table's cubic-Hermite start 4.945; that leaves a residual
+        # of about 1.3e-7, far above tolerance.
         monkeypatch.setattr(oracle_mod, "MAX_ITERATIONS", 1)
         m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
         with pytest.raises(NoConvergence):
@@ -159,13 +165,14 @@ class TestSolver:
         tol = oracle_mod.DEFAULT_TOL_SCALE
         _, resid, iters = oracle_mod._solve_retarded(m, medium, x, ts, tol)
         assert np.max(resid) <= tol
-        assert np.max(iters) <= 2
-        assert np.mean(iters) <= 1.1
+        # The cubic-Hermite start is already within tolerance: no Newton step.
+        assert np.max(iters) == 0
 
     def test_one_newton_loop_per_solve(self, medium, monkeypatch):
-        # One profile evaluation builds the start table; each pass of the
-        # loop makes one more, and the last pass finds every point done.
-        # Nothing else evaluates the profile: no window end is solved first.
+        # One profile evaluation of (alpha, alpha') builds the start table;
+        # each pass of the loop makes one more, and the last pass finds
+        # every point done.  Nothing else evaluates the profile: no window
+        # end is solved first.
         calls = []
         real = MotionProfile.eval
 
@@ -180,7 +187,35 @@ class TestSolver:
         _, resid, iters = oracle_mod._solve_retarded(m, medium, x, ts,
                                                      oracle_mod.DEFAULT_TOL_SCALE)
         assert np.max(resid) <= oracle_mod.DEFAULT_TOL_SCALE
-        assert calls == [(0,)] + [(0, 1)] * (int(np.max(iters)) + 1)
+        assert calls == [(0, 1)] + [(0, 1)] * (int(np.max(iters)) + 1)
+
+    def test_table_rows_capped_by_the_block(self, medium, monkeypatch):
+        # 120 periods of the motion would ask for 1024 rows per unit of slow
+        # time, about 772,000 rows; a quarter of the grid is 50,000.  The
+        # table stops at BLOCK rows and the solve still converges.
+        rows = []
+        real = oracle_mod._start_table
+
+        def spy(*args):
+            table = real(*args)
+            rows.append(table[0].size)
+            return table
+
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        x = 2.8
+        ts = np.linspace(x, x + 120.0 * 2.0 * math.pi / 0.1, 200_000)
+        monkeypatch.setattr(oracle_mod, "_start_table", spy)
+        _, resid, _ = oracle_mod._solve_retarded(m, medium, x, ts,
+                                                 oracle_mod.DEFAULT_TOL_SCALE)
+        assert rows == [BLOCK]
+        assert np.max(resid) <= oracle_mod.DEFAULT_TOL_SCALE
+
+    @pytest.mark.parametrize("size,rows", [(1, 2), (2, 2), (9, 2), (40, 10), (4001, 1000)])
+    def test_table_rows_capped_by_a_quarter_of_the_grid(self, size, rows, medium):
+        # A window of 10 units of slow time would ask for 10,242 rows.
+        m = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+        table = oracle_mod._start_table(m, medium, 2.8, 100.0, size)
+        assert table[0].size == rows
 
     @pytest.mark.parametrize("profile,beta,delta", [
         ("constant", 0.4, 0.0),

@@ -17,7 +17,15 @@ from dopplerlab.characteristics import (  # noqa: E402
     general_excitation_field,
     transport_amplitude,
 )
-from dopplerlab.motion import PROFILES, MediumParams, boundary_position  # noqa: E402
+from dopplerlab.errors import ObserverInsideBoundary  # noqa: E402
+from dopplerlab.motion import (  # noqa: E402
+    BLOCK,
+    BOUNDARY_CLAMP,
+    PROFILES,
+    MediumParams,
+    boundary_position,
+    boundary_rule,
+)
 
 from conftest import make_motion  # noqa: E402
 
@@ -87,3 +95,32 @@ TINY_TIMES = np.concatenate([[0.0], np.geomspace(1e-18, 1e-9, 2000)])
 def test_am_on_the_boundary_at_tiny_times(motion):
     am = am_factor(motion, MEDIUM, boundary_position(motion, TINY_TIMES), TINY_TIMES)
     assert np.max(np.abs(np.asarray(am) - 1.0)) < 1e-12
+
+
+@SETTINGS
+@given(motions(), st.floats(0.0, 100.0), st.floats(1e-3, 400.0), st.integers(1, BLOCK),
+       st.data())
+def test_boundary_rule_raises_exactly_past_the_clamp(motion, t0, span, extra, data):
+    # Windows longer than one block; receivers on the boundary, at the
+    # clamp's edge, and anywhere from its lowest point to beyond its reach.
+    # The reference is the whole-grid lag, whose first largest value names
+    # the point.
+    ts = np.linspace(t0, t0 + span, BLOCK + extra)
+    position = np.asarray(boundary_position(motion, ts))
+    clamp = BOUNDARY_CLAMP * MEDIUM.c / MEDIUM.omega
+    top = float(np.max(position))
+    beyond = abs(motion.v) * (t0 + span) + abs(motion.a) + 1.0
+    x = data.draw(st.one_of(
+        st.sampled_from([top, top - clamp, float(np.nextafter(top - clamp, -np.inf)),
+                         top - 1.001 * clamp, top - 3.0 * clamp]),
+        st.sampled_from(position.tolist()),
+        st.floats(float(np.min(position)), beyond)))
+    lag = position - x
+    worst = int(np.argmax(lag))
+    if lag[worst] > clamp:
+        with pytest.raises(ObserverInsideBoundary) as excinfo:
+            boundary_rule(motion, MEDIUM, x, ts)
+        assert str(excinfo.value) == (
+            f"x={x} lies {lag[worst]:.3g} behind the boundary at t={ts[worst]}")
+    else:
+        boundary_rule(motion, MEDIUM, x, ts)

@@ -34,6 +34,7 @@ from dopplerlab.asymptotics import (
 from dopplerlab.cli import main
 from dopplerlab.errors import ArgumentOutOfRange, DopplerLabError
 from dopplerlab.motion import (
+    BLOCK,
     MAX_OMEGA_T,
     BoundaryMotion,
     MediumParams,
@@ -304,3 +305,54 @@ def test_wavefront_has_one_verdict():
     assert leading_order_field(motion, medium, x, t).value != 0.0
     assert exact_field(motion, medium, x, t) != 0.0
     assert retarded_time(motion, medium, x, t).t_e == 0.0
+
+
+#: The API calls that broadcast receivers ``x`` against times ``t``.
+BROADCAST_CALLS = {
+    "am_factor": lambda motion, x, t: am_factor(motion, MEDIUM, x, t),
+    "lab_phase": lambda motion, x, t: lab_phase(motion, MEDIUM, x, t, True),
+    "lab_phase_rate": lambda motion, x, t: lab_phase_rate(motion, MEDIUM, x, t, True),
+}
+
+#: name -> (x, t): receivers ahead of the boundary and inside the cone, but
+#: three receivers against two times, or none at all.
+BAD_BROADCASTS = {"three-by-two": ([6.0, 7.0, 8.0], [9.0, 10.0]), "no-receiver": ([], 10.0)}
+
+
+@pytest.mark.parametrize("case", BAD_BROADCASTS)
+@pytest.mark.parametrize("motion", [MOTION, CUSTOM], ids=["builtin", "custom"])
+@pytest.mark.parametrize("call", BROADCAST_CALLS)
+def test_receivers_that_do_not_broadcast_rejected(call, motion, case):
+    # Checked before the boundary rule's reach bound or its per-point pass.
+    with pytest.raises(ArgumentOutOfRange):
+        BROADCAST_CALLS[call](motion, *BAD_BROADCASTS[case])
+
+
+def test_custom_profile_takes_the_per_point_pass(monkeypatch):
+    # A built-in profile's alpha has a known range, so a receiver beyond the
+    # boundary's reach needs no X_s; a custom twin's range is never sampled,
+    # so the rule evaluates its alpha at every point of the window.
+    args = []
+
+    def sine(u):
+        args.append(u)
+        return math.sin(u)
+
+    twin = make_motion(MotionProfile.custom(sine, math.cos, lambda u: -math.sin(u),
+                                            horizon=60.0), beta=0.0, delta=0.2, eps=0.1)
+    builtin = make_motion("oscillatory", beta=0.0, delta=0.2, eps=0.1)
+    ts = np.linspace(2.8, 500.0, BLOCK + 3)
+    args.clear()
+    boundary_rule(twin, MEDIUM, 2.8, ts)
+    assert args == (twin.Omega * ts).tolist()
+
+    calls = []
+    real = MotionProfile.eval
+
+    def counted(profile, arg, order=(0, 1, 2)):
+        calls.append(order)
+        return real(profile, arg, order)
+
+    monkeypatch.setattr(MotionProfile, "eval", counted)
+    boundary_rule(builtin, MEDIUM, 2.8, ts)
+    assert calls == []
